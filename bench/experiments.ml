@@ -1500,7 +1500,14 @@ let e16 () =
      (>1x aggregate from 1 to 16), and the 20%% fault plan costs the fleet\n\
      little availability because breaker-draining shards hand queued work\n\
      to siblings and auto-allocation re-absorbs the displaced load.\n"
-    (1000.0 *. p99_limit_s)
+    (1000.0 *. p99_limit_s);
+  if not passed then begin
+    Printf.eprintf
+      "E16 FAILED: scaling 1 -> 16 shards %.2fx (need > 1x), availability \
+       under faults %.4f (need >= 0.99)\n"
+      scaling avail16;
+    exit 1
+  end
 
 (* ---- micro-benchmarks (Bechamel) ---------------------------------------------- *)
 

@@ -134,10 +134,20 @@ type alert_config = {
 let default_alert =
   { fast_window_s = 0.05; slow_window_s = 0.5; burn_threshold = 2.0 }
 
+(* The retained events of the slow window live in a growable power-of-two
+   ring, oldest first: event [i] (0 = oldest) sits in slot
+   [(m_head + i) land (capacity - 1)].  Each slot holds the event's time
+   and [m_bad] as it stood just before the event, so the bad count of any
+   suffix is one subtraction and a window query is one binary search for
+   its left edge.  Times are non-decreasing ([observe] enforces it), which
+   is what keeps the ring sorted. *)
 type monitor = {
   m_spec : spec;
   m_alert : alert_config;
-  mutable m_events : (float * bool) list;  (* (t, bad), newest first *)
+  mutable m_times : Float.Array.t;
+  mutable m_cum : int array;  (* m_bad before each event *)
+  mutable m_head : int;
+  mutable m_len : int;
   mutable m_total : int;
   mutable m_bad : int;
   mutable m_last_t : float;
@@ -145,25 +155,57 @@ type monitor = {
   mutable m_alerts : int;  (* rising edges *)
 }
 
+let initial_capacity = 16
+
 let monitor ?(alert = default_alert) spec =
-  { m_spec = spec; m_alert = alert; m_events = []; m_total = 0; m_bad = 0;
-    m_last_t = 0.0; m_firing = false; m_alerts = 0 }
+  { m_spec = spec; m_alert = alert;
+    m_times = Float.Array.make initial_capacity 0.0;
+    m_cum = Array.make initial_capacity 0; m_head = 0; m_len = 0;
+    m_total = 0; m_bad = 0; m_last_t = 0.0; m_firing = false; m_alerts = 0 }
 
 let monitor_name m = m.m_spec.slo_name
 let firing m = m.m_firing
 let alerts m = m.m_alerts
 let observed m = m.m_total
 
+let slot m i = (m.m_head + i) land (Array.length m.m_cum - 1)
+let time_at m i = Float.Array.get m.m_times (slot m i)
+
+(* Replace the ring by one of [cap] slots holding the same events. *)
+let resize m cap =
+  let times = Float.Array.make cap 0.0 and cum = Array.make cap 0 in
+  for i = 0 to m.m_len - 1 do
+    let s = slot m i in
+    Float.Array.set times i (Float.Array.get m.m_times s);
+    cum.(i) <- m.m_cum.(s)
+  done;
+  m.m_times <- times;
+  m.m_cum <- cum;
+  m.m_head <- 0
+
+let push m t ~bad_before =
+  if m.m_len = Array.length m.m_cum then resize m (2 * m.m_len);
+  let s = slot m m.m_len in
+  Float.Array.set m.m_times s t;
+  m.m_cum.(s) <- bad_before;
+  m.m_len <- m.m_len + 1
+
+(* Index of the oldest event at or after [lo]; [m_len] when none is. *)
+let first_from m lo =
+  let rec go a b =
+    if a >= b then a
+    else
+      let mid = (a + b) lsr 1 in
+      if time_at m mid >= lo then go a mid else go (mid + 1) b
+  in
+  go 0 m.m_len
+
 (* Bad fraction over the trailing [window_s]; 0 when no events fall in. *)
 let window_bad_frac m ~now ~window_s =
-  let lo = now -. window_s in
-  let total, bad =
-    List.fold_left
-      (fun (t, b) (ts, is_bad) ->
-        if ts >= lo then (t + 1, if is_bad then b + 1 else b) else (t, b))
-      (0, 0) m.m_events
-  in
-  if total = 0 then 0.0 else float_of_int bad /. float_of_int total
+  let k = first_from m (now -. window_s) in
+  let total = m.m_len - k in
+  if total = 0 then 0.0
+  else float_of_int (m.m_bad - m.m_cum.(slot m k)) /. float_of_int total
 
 let burn_rates m ~now =
   let budget = error_budget m.m_spec.objective in
@@ -171,17 +213,23 @@ let burn_rates m ~now =
     window_bad_frac m ~now ~window_s:m.m_alert.slow_window_s /. budget )
 
 let observe m ~now ?(latency_s = 0.0) ~ok () =
+  (* a time that would unsort the ring fails loudly *)
+  if Float.is_nan now then invalid_arg "Slo.observe: NaN time";
+  if m.m_len > 0 && now < time_at m (m.m_len - 1) then
+    invalid_arg
+      (Printf.sprintf "Slo.observe %s: time %g precedes the newest event %g"
+         m.m_spec.slo_name now (time_at m (m.m_len - 1)));
   let bad = is_bad m.m_spec { o_t_s = now; o_ok = ok; o_latency_s = latency_s } in
-  m.m_events <- (now, bad) :: m.m_events;
+  push m now ~bad_before:m.m_bad;
   m.m_total <- m.m_total + 1;
   if bad then m.m_bad <- m.m_bad + 1;
   m.m_last_t <- Float.max m.m_last_t now;
   (* prune events that fell out of the slow window *)
   let lo = now -. m.m_alert.slow_window_s in
-  (match List.rev m.m_events with
-  | (oldest_t, _) :: _ when oldest_t < lo ->
-      m.m_events <- List.filter (fun (t, _) -> t >= lo) m.m_events
-  | _ -> ());
+  while m.m_len > 0 && time_at m 0 < lo do
+    m.m_head <- slot m 1;
+    m.m_len <- m.m_len - 1
+  done;
   let fast, slow = burn_rates m ~now in
   let was = m.m_firing in
   m.m_firing <-
@@ -210,9 +258,10 @@ let snapshot m : result =
   { res_name = m.m_spec.slo_name; res_kind = kind; attained; target; met;
     budget; budget_used = bad_frac /. budget; total; bad }
 
-(* Checkpoint/restore: the monitor's full mutable core.  Events stay
-   newest first, exactly as stored, so a restored monitor burns and
-   prunes byte-identically to one that never stopped. *)
+(* Checkpoint/restore: the monitor's full mutable core.  Events are a
+   newest-first list, independent of the ring layout, so encoded
+   snapshots do not change when the ring grows or wraps; the list is
+   built only here, never on the observe path. *)
 type monitor_state = {
   ms_events : (float * bool) list;  (* newest first *)
   ms_total : int;
@@ -223,11 +272,35 @@ type monitor_state = {
 }
 
 let monitor_export m =
-  { ms_events = m.m_events; ms_total = m.m_total; ms_bad = m.m_bad;
+  let events = ref [] in
+  for i = 0 to m.m_len - 1 do
+    let bad_after =
+      if i + 1 < m.m_len then m.m_cum.(slot m (i + 1)) else m.m_bad
+    in
+    events := (time_at m i, bad_after > m.m_cum.(slot m i)) :: !events
+  done;
+  { ms_events = !events; ms_total = m.m_total; ms_bad = m.m_bad;
     ms_last_t = m.m_last_t; ms_firing = m.m_firing; ms_alerts = m.m_alerts }
 
 let monitor_import m s =
-  m.m_events <- s.ms_events;
+  let rec newest_first = function
+    | (t, _) :: ((t', _) :: _ as rest) -> t >= t' && newest_first rest
+    | [ (t, _) ] -> not (Float.is_nan t)
+    | [] -> true
+  in
+  if not (newest_first s.ms_events) then
+    invalid_arg "Slo.monitor_import: events not newest first";
+  m.m_head <- 0;
+  m.m_len <- 0;
+  let window_bad =
+    List.fold_left (fun n (_, bad) -> if bad then n + 1 else n) 0 s.ms_events
+  in
+  let bad_before = ref (s.ms_bad - window_bad) in
+  List.iter
+    (fun (t, bad) ->
+      push m t ~bad_before:!bad_before;
+      if bad then incr bad_before)
+    (List.rev s.ms_events);
   m.m_total <- s.ms_total;
   m.m_bad <- s.ms_bad;
   m.m_last_t <- s.ms_last_t;

@@ -68,6 +68,10 @@ type alert_config = {
     pairing). *)
 val default_alert : alert_config
 
+(** An online monitor.  It retains the events of the last [slow_window_s]
+    in a sorted ring of times with cumulative bad counts, so {!observe}
+    and {!burn_rates} cost O(log window) instead of a scan of the window
+    (pruning and ring growth add amortized O(1) per event). *)
 type monitor
 
 val monitor : ?alert:alert_config -> spec -> monitor
@@ -83,11 +87,16 @@ val alerts : monitor -> int
 val observed : monitor -> int
 
 (** (fast, slow) burn rates — windowed bad fraction over the error
-    budget — at time [now]. *)
+    budget — at time [now].  Any [now] is accepted; the windows count the
+    retained events at or after [now - window_s].  O(log window). *)
 val burn_rates : monitor -> now:float -> float * float
 
 (** Feed one outcome; [latency_s] defaults to 0 (irrelevant for
-    availability objectives).  Updates the firing state. *)
+    availability objectives).  Updates the firing state.  O(log window).
+
+    Precondition: [now] is not NaN and is no earlier than the newest
+    retained event (times are non-decreasing).  Raises [Invalid_argument]
+    otherwise, rather than silently unsorting the window. *)
 val observe : monitor -> now:float -> ?latency_s:float -> ok:bool -> unit -> unit
 
 (** Batch result over everything the monitor has seen (all-time, not
@@ -99,7 +108,9 @@ val snapshot : monitor -> result
 (** {2 Checkpoint / restore} *)
 
 (** The monitor's full mutable core; a restored monitor burns and prunes
-    byte-identically to one that never stopped. *)
+    byte-identically to one that never stopped.  Events are a
+    newest-first list, independent of the ring layout, so encoded
+    snapshots do not depend on it. *)
 type monitor_state = {
   ms_events : (float * bool) list;  (** (t, bad), newest first *)
   ms_total : int;
@@ -109,7 +120,12 @@ type monitor_state = {
   ms_alerts : int;
 }
 
+(** Builds the event list from the ring; O(window), paid only when a
+    snapshot is taken. *)
 val monitor_export : monitor -> monitor_state
+
+(** Overwrite the monitor with a state.  Raises [Invalid_argument] if
+    [ms_events] is not newest first (times non-increasing, none NaN). *)
 val monitor_import : monitor -> monitor_state -> unit
 
 (** {2 Serialization} *)

@@ -2,7 +2,8 @@
    over the raw log, critical-path extraction is exact on a hand-built
    chain and tiles [0, makespan] on real executor runs, utilization
    reconciles with the span log, SLOs evaluate and burn-rate alerts flip
-   over simulated time, reports round-trip through JSON, and the
+   over simulated time (the ring monitor agrees with the list monitor it
+   replaced), reports round-trip through JSON, and the
    regression differ flags only genuine regressions. *)
 
 open Everest_observe
@@ -347,6 +348,260 @@ let test_orchestrator_slo_wiring () =
   in
   checkf "batch = online" snap.Slo.attained batch.Slo.attained
 
+(* ---- slo monitor vs list oracle ------------------------------------------------ *)
+
+(* The list-based monitor the ring replaced, kept as the reference: every
+   event of the slow window in a newest-first list, pruned by a filter and
+   scanned by folds on every query. *)
+module List_monitor = struct
+  type t = {
+    spec : Slo.spec;
+    alert : Slo.alert_config;
+    mutable events : (float * bool) list;  (* (t, bad), newest first *)
+    mutable total : int;
+    mutable bad : int;
+    mutable last_t : float;
+    mutable firing : bool;
+    mutable alerts : int;
+  }
+
+  let create alert spec =
+    { spec; alert; events = []; total = 0; bad = 0; last_t = 0.0;
+      firing = false; alerts = 0 }
+
+  let budget m =
+    match m.spec.Slo.objective with
+    | Slo.Availability { target } | Slo.Completion_ratio { target } ->
+        Float.max 1e-9 (1.0 -. target)
+    | Slo.Latency_quantile { q; _ } -> Float.max 1e-9 (1.0 -. q)
+
+  let is_bad m ~ok ~latency_s =
+    match m.spec.Slo.objective with
+    | Slo.Availability _ | Slo.Completion_ratio _ -> not ok
+    | Slo.Latency_quantile { limit_s; _ } -> (not ok) || latency_s > limit_s
+
+  let window_bad_frac m ~now ~window_s =
+    let lo = now -. window_s in
+    let total, bad =
+      List.fold_left
+        (fun (t, b) (ts, is_bad) ->
+          if ts >= lo then (t + 1, if is_bad then b + 1 else b) else (t, b))
+        (0, 0) m.events
+    in
+    if total = 0 then 0.0 else float_of_int bad /. float_of_int total
+
+  let burn_rates m ~now =
+    ( window_bad_frac m ~now ~window_s:m.alert.Slo.fast_window_s /. budget m,
+      window_bad_frac m ~now ~window_s:m.alert.Slo.slow_window_s /. budget m )
+
+  let observe m ~now ~latency_s ~ok =
+    let bad = is_bad m ~ok ~latency_s in
+    m.events <- (now, bad) :: m.events;
+    m.total <- m.total + 1;
+    if bad then m.bad <- m.bad + 1;
+    m.last_t <- Float.max m.last_t now;
+    let lo = now -. m.alert.Slo.slow_window_s in
+    (match List.rev m.events with
+    | (oldest_t, _) :: _ when oldest_t < lo ->
+        m.events <- List.filter (fun (t, _) -> t >= lo) m.events
+    | _ -> ());
+    let fast, slow = burn_rates m ~now in
+    let was = m.firing in
+    m.firing <-
+      fast >= m.alert.Slo.burn_threshold && slow >= m.alert.Slo.burn_threshold;
+    if m.firing && not was then m.alerts <- m.alerts + 1
+
+  let snapshot m : Slo.result =
+    let total = m.total and bad = m.bad in
+    let bad_frac =
+      if total = 0 then 0.0 else float_of_int bad /. float_of_int total
+    in
+    let budget = budget m in
+    let kind, attained, target, met =
+      match m.spec.Slo.objective with
+      | Slo.Availability { target } ->
+          ("availability", 1.0 -. bad_frac, target, 1.0 -. bad_frac >= target)
+      | Slo.Completion_ratio { target } ->
+          ("completion", 1.0 -. bad_frac, target, 1.0 -. bad_frac >= target)
+      | Slo.Latency_quantile { q; limit_s } ->
+          ("latency", 1.0 -. bad_frac, q, bad_frac <= budget && limit_s >= 0.0)
+    in
+    { Slo.res_name = m.spec.Slo.slo_name; res_kind = kind; attained; target;
+      met; budget; budget_used = bad_frac /. budget; total; bad }
+
+  let export m =
+    { Slo.ms_events = m.events; ms_total = m.total; ms_bad = m.bad;
+      ms_last_t = m.last_t; ms_firing = m.firing; ms_alerts = m.alerts }
+end
+
+(* One step of a monitor's input: an outcome [dt] after the previous one,
+   or a burn-rate query [dt] after the newest outcome (which does not move
+   the clock). *)
+type slo_step =
+  | Observe of { dt : float; ok : bool; latency_s : float }
+  | Query of float
+
+type slo_case = {
+  c_spec : Slo.spec;
+  c_alert : Slo.alert_config;
+  c_t0 : float;
+  c_steps : slo_step list;
+}
+
+(* Times and windows mostly sit on a grid of binary fractions, so sums
+   are exact and events land exactly on window edges ([now - window_s]),
+   where [>=] and [>] differ; off-grid values cover the rest. *)
+let gen_slo_case =
+  let open QCheck.Gen in
+  let grid = 1.0 /. 128.0 in
+  let on_grid hi = map (fun k -> float_of_int k *. grid) (int_bound hi) in
+  let dt =
+    frequency
+      [ (3, return 0.0); (6, on_grid 4); (2, on_grid 40);
+        (2, float_bound_inclusive 0.01); (1, float_bound_inclusive 1.0) ]
+  in
+  let window hi =
+    frequency [ (4, on_grid hi); (1, float_bound_inclusive (float_of_int hi *. grid)) ]
+  in
+  let step =
+    frequency
+      [ ( 4,
+          map3
+            (fun dt ok latency_s -> Observe { dt; ok; latency_s })
+            dt
+            (frequency [ (3, return true); (1, return false) ])
+            (float_bound_inclusive 0.1) );
+        (1, map (fun dt -> Query dt) dt) ]
+  in
+  let spec =
+    oneof
+      [ map (Slo.availability "avail") (float_range 0.5 0.999);
+        map2
+          (fun q limit_s -> Slo.latency "lat" ~q ~limit_s)
+          (float_range 0.5 0.999) (float_range 0.0 0.05);
+        map (Slo.completion "done") (float_range 0.5 1.0) ]
+  in
+  let alert =
+    map3
+      (fun fast_window_s slow_window_s burn_threshold ->
+        { Slo.fast_window_s; slow_window_s; burn_threshold })
+      (window 40) (window 128) (float_range 0.0 4.0)
+  in
+  map4
+    (fun c_spec c_alert c_t0 c_steps -> { c_spec; c_alert; c_t0; c_steps })
+    spec alert
+    (map (fun t -> t -. 1.0) (on_grid 256))
+    (list_size (int_range 0 400) step)
+
+let print_slo_case c =
+  Printf.sprintf "alert fast=%h slow=%h thr=%h t0=%h, %d steps"
+    c.c_alert.Slo.fast_window_s c.c_alert.Slo.slow_window_s
+    c.c_alert.Slo.burn_threshold c.c_t0 (List.length c.c_steps)
+
+(* Bit-exact structural equality (floats compared by their bits). *)
+let same a b =
+  String.equal
+    (Marshal.to_string a [ Marshal.No_sharing ])
+    (Marshal.to_string b [ Marshal.No_sharing ])
+
+(* Drive [steps] from time [t] through [feed], calling [check] with the
+   step's time after every step; returns the newest observed time. *)
+let run_steps ~t steps ~feed ~check =
+  List.fold_left
+    (fun t step ->
+      match step with
+      | Observe { dt; ok; latency_s } ->
+          let now = t +. dt in
+          feed ~now ~ok ~latency_s;
+          check now;
+          now
+      | Query dt ->
+          check (t +. dt);
+          t)
+    t steps
+
+let fail_at what now =
+  QCheck.Test.fail_reportf "%s differs at now=%h" what now
+
+let prop_slo_monitor_matches_list_oracle =
+  QCheck.Test.make ~count:300 ~name:"monitor agrees with the list oracle"
+    (QCheck.make ~print:print_slo_case gen_slo_case)
+    (fun c ->
+      let m = Slo.monitor ~alert:c.c_alert c.c_spec in
+      let o = List_monitor.create c.c_alert c.c_spec in
+      ignore
+      @@ run_steps ~t:c.c_t0 c.c_steps
+           ~feed:(fun ~now ~ok ~latency_s ->
+             Slo.observe m ~now ~latency_s ~ok ();
+             List_monitor.observe o ~now ~latency_s ~ok)
+           ~check:(fun now ->
+             if Slo.firing m <> o.List_monitor.firing then fail_at "firing" now;
+             if Slo.alerts m <> o.List_monitor.alerts then fail_at "alerts" now;
+             if Slo.observed m <> o.List_monitor.total then
+               fail_at "observed" now;
+             if
+               not
+                 (same (Slo.burn_rates m ~now) (List_monitor.burn_rates o ~now))
+             then fail_at "burn_rates" now;
+             if not (same (Slo.snapshot m) (List_monitor.snapshot o)) then
+               fail_at "snapshot" now;
+             if not (same (Slo.monitor_export m) (List_monitor.export o)) then
+               fail_at "monitor_export" now);
+      true)
+
+let prop_slo_monitor_export_import =
+  QCheck.Test.make ~count:200 ~name:"export mid-stream, import, continue"
+    QCheck.(pair (make ~print:print_slo_case gen_slo_case) (int_bound 400))
+    (fun (c, cut) ->
+      let cut = min cut (List.length c.c_steps) in
+      let before = List.filteri (fun i _ -> i < cut) c.c_steps
+      and after = List.filteri (fun i _ -> i >= cut) c.c_steps in
+      let m = Slo.monitor ~alert:c.c_alert c.c_spec in
+      let feed m ~now ~ok ~latency_s = Slo.observe m ~now ~latency_s ~ok () in
+      let t = run_steps ~t:c.c_t0 before ~feed:(feed m) ~check:ignore in
+      let r = Slo.monitor ~alert:c.c_alert c.c_spec in
+      Slo.monitor_import r (Slo.monitor_export m);
+      ignore
+      @@ run_steps ~t after
+           ~feed:(fun ~now ~ok ~latency_s ->
+             feed m ~now ~ok ~latency_s;
+             feed r ~now ~ok ~latency_s)
+           ~check:(fun now ->
+             if Slo.firing m <> Slo.firing r then fail_at "firing" now;
+             if Slo.alerts m <> Slo.alerts r then fail_at "alerts" now;
+             if Slo.observed m <> Slo.observed r then fail_at "observed" now;
+             if not (same (Slo.burn_rates m ~now) (Slo.burn_rates r ~now))
+             then fail_at "burn_rates" now;
+             if not (same (Slo.snapshot m) (Slo.snapshot r)) then
+               fail_at "snapshot" now;
+             if not (same (Slo.monitor_export m) (Slo.monitor_export r)) then
+               fail_at "monitor_export" now);
+      true)
+
+let test_slo_rejects_out_of_order () =
+  let m = Slo.monitor (Slo.availability "avail" 0.9) in
+  Slo.observe m ~now:1.0 ~ok:true ();
+  Slo.observe m ~now:1.0 ~ok:false ();  (* equal times are in order *)
+  let raises f =
+    match f () with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  checkb "earlier time rejected" true
+    (raises (fun () -> Slo.observe m ~now:0.999 ~ok:true ()));
+  checkb "NaN time rejected" true
+    (raises (fun () -> Slo.observe m ~now:Float.nan ~ok:true ()));
+  checki "rejected outcomes not counted" 2 (Slo.observed m);
+  Slo.observe m ~now:5.0 ~ok:true ();
+  checki "later time accepted" 3 (Slo.observed m);
+  let before = Slo.monitor_export m in
+  checkb "unsorted import rejected" true
+    (raises (fun () ->
+         Slo.monitor_import m
+           { before with Slo.ms_events = [ (1.0, false); (2.0, true) ] }));
+  checkb "failed import leaves the monitor as it was" true
+    (before = Slo.monitor_export m)
+
 (* ---- report + regress ----------------------------------------------------------- *)
 
 let test_report_roundtrip () =
@@ -491,7 +746,11 @@ let () =
           Alcotest.test_case "burn-rate alert flips" `Quick
             test_slo_burn_rate_flips;
           Alcotest.test_case "orchestrator wiring" `Quick
-            test_orchestrator_slo_wiring ] );
+            test_orchestrator_slo_wiring;
+          Alcotest.test_case "out-of-order times rejected" `Quick
+            test_slo_rejects_out_of_order;
+          QCheck_alcotest.to_alcotest prop_slo_monitor_matches_list_oracle;
+          QCheck_alcotest.to_alcotest prop_slo_monitor_export_import ] );
       ( "report",
         [ Alcotest.test_case "json round-trip" `Quick test_report_roundtrip;
           Alcotest.test_case "untraced is partial" `Quick
