@@ -6,14 +6,16 @@
    Write-ahead journaling is only worth having if the fault-free run
    barely notices it, so the headline gate is the CPU-time overhead of
    a journaled+snapshotted e16-scale serving run over the identical
-   unjournaled run — <5% in the full sweep.  The second question is the
-   operational trade the snapshot interval buys: snapshotting more often
-   costs more snapshot bytes during the run but leaves a shorter journal
-   tail to replay after a crash, so recovery time falls.  The sweep
-   crashes the fabric halfway through the journal at each interval,
-   restores, and reports recovery time plus the replayed-tail length —
-   and byte-compares every resumed report against the uninterrupted run,
-   so the bench doubles as an end-to-end identity check at bench scale. *)
+   unjournaled run — <5% in the full sweep.  The sweep also records what
+   the snapshot interval costs and buys.  Resume re-executes the run
+   from t=0 against the journal, with snapshots as small integrity
+   anchors, so snapshot bytes stay near zero at every interval and
+   resume time does not depend on the interval: it replays the whole
+   journal prefix up to the crash.  The sweep crashes the fabric halfway
+   through the journal at each interval, resumes, and reports recovery
+   time plus the replayed-record count — and byte-compares every resumed
+   report against the uninterrupted run, so the bench doubles as an
+   end-to-end identity check at bench scale. *)
 
 module Srv = Everest_serving
 module Res = Everest_resilience
@@ -25,8 +27,8 @@ module Tel = Everest_telemetry
    (frequency scaling and co-tenant contention change the cycles a fixed
    workload costs), so an A-vs-B comparison of separately timed runs
    cannot resolve the gate.  The gated overhead is therefore measured by
-   ATTRIBUTION: the fabric clocks its recovery code paths (payload
-   encoding, journal appends, served-log encoding, snapshot writes) into
+   ATTRIBUTION: the fabric clocks its recovery code paths (record
+   encoding, journal appends, anchor writes) into
    [Store.work_s], and the fraction work/(total-work) comes from a
    single run — numerator and denominator share whatever noise
    multiplier the host applied, so it cancels.  The A/B median over
@@ -48,8 +50,8 @@ type row = {
   r_journal_kib : float;
   r_snapshots : int;
   r_snapshot_kib : float;
-  r_resume_s : float;  (* restore + replay-to-front CPU after a mid-run kill *)
-  r_replayed : int;  (* journal tail re-applied on restore *)
+  r_resume_s : float;  (* resume CPU (replay from t=0) after a mid-run kill *)
+  r_replayed : int;  (* journal records replay-verified on resume *)
   r_identical : bool;  (* resumed report == uninterrupted report *)
 }
 
@@ -276,10 +278,10 @@ let () =
   Printf.printf
     "\nwrote BENCH_e19.json\n\
      Expected shape: journaling + snapshotting tax the fault-free run by\n\
-     a few percent (gated <%.0f%%), snapshotting more often trades\n\
-     snapshot bytes for a shorter replay tail (so recovery gets faster),\n\
-     and every resumed report is byte-identical to the uninterrupted\n\
-     same-seed run.\n"
+     a few percent (gated <%.0f%%), anchor snapshots cost under a KiB at\n\
+     every interval, resume replays the whole journal prefix (so its\n\
+     time does not fall with a shorter interval), and every resumed\n\
+     report is byte-identical to the uninterrupted same-seed run.\n"
     (100.0 *. overhead_budget);
   if not passed then begin
     Printf.eprintf

@@ -385,14 +385,15 @@ let serve_cmd =
 (* ---- recover ---------------------------------------------------------------- *)
 
 (* Crash-recovery drill: run the serving fabric with write-ahead
-   journaling on, kill it at a seeded mid-run journal record, restore
-   from the latest snapshot + journal tail, and byte-compare the resumed
-   report against the uninterrupted same-seed run; then the same for the
-   workflow executor (journaled deterministic replay).  Exit 1 on any
-   mismatch.  [--demo] corrupts the newest snapshot three ways (bit-flip,
-   truncation, version skew): each must be detected and fallen back over,
-   and a store with every snapshot damaged must be refused with a typed
-   error — the demo exits 1 to prove the detection path fired. *)
+   journaling on, kill it at a seeded mid-run journal record, resume by
+   re-executing from t=0 against the journal and the newest snapshot
+   anchor, and byte-compare the resumed report against the uninterrupted
+   same-seed run; then the same for the workflow executor, which resumes
+   through the same replay module.  Exit 1 on any mismatch.  [--demo]
+   corrupts the newest snapshot three ways (bit-flip, truncation, version
+   skew): each must be detected and fallen back over, and a store with
+   every snapshot damaged must be refused with a typed error — the demo
+   exits 1 to prove the detection path fired. *)
 let recover_cmd =
   let module Srv = Everest_serving in
   let module Res = Everest_resilience in
@@ -419,7 +420,7 @@ let recover_cmd =
     Arg.(
       value & opt float 0.1
       & info [ "snapshot-every" ] ~docv:"T"
-          ~doc:"Fabric snapshot interval in simulated seconds.")
+          ~doc:"Fabric anchor-snapshot interval in simulated seconds.")
   in
   let crash_after =
     Arg.(
@@ -646,7 +647,7 @@ let recover_cmd =
     (match dump_resumed with
     | Some f -> write_file f resumed
     | None -> ());
-    (* executor drill: journaled deterministic replay from genesis *)
+    (* executor drill: the same replay from t=0 *)
     let exec_digest (s : Wf.Executor.stats) =
       let buf = Buffer.create 1024 in
       Buffer.add_string buf
@@ -737,7 +738,8 @@ let recover_cmd =
     | `Text ->
         Printf.printf
           "fabric: %d journal records, %d snapshots; killed after record \
-           %d, resumed from snapshot %d (+%d replayed) in %.3fs cpu\n"
+           %d, resumed by replay (anchor snapshot %d, %d records verified) \
+           in %.3fs cpu\n"
           records snapshots after report.Srv.Fabric.rr_snapshot_index
           report.Srv.Fabric.rr_replayed recovery_s;
         Printf.printf

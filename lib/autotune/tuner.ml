@@ -99,42 +99,6 @@ let observe (t : t) ~variant ~features ~measured =
   (* the knowledge just moved: memoized selections are stale *)
   Everest_parallel.Cache.clear t.select_memo
 
-(* Checkpoint/restore.  The behavioural core of a tuner is its knowledge
-   points (EMA state), the identity of the last-selected variant (the
-   hysteresis anchor — only its name is ever consulted) and the
-   selection/switch counters.  History is a bounded telemetry buffer and
-   the memo a pure cache; both restart empty. *)
-type persisted = {
-  p_points : Knowledge.point list;
-  p_last_variant : string option;
-  p_selections : int;
-  p_switches : int;
-}
-
-let export (t : t) =
-  {
-    p_points = t.knowledge.Knowledge.points;
-    p_last_variant =
-      Option.map (fun d -> d.Selector.point.Knowledge.variant) t.last;
-    p_selections = t.selections;
-    p_switches = t.switches;
-  }
-
-let import (t : t) p =
-  t.knowledge.Knowledge.points <- p.p_points;
-  (t.last <-
-     Option.map
-       (fun variant ->
-         (* Synthetic decision: [select] only reads the variant name and
-            re-resolves the point from the live knowledge. *)
-         { Selector.point = { Knowledge.variant; features = []; metrics = [] };
-           relaxed = [] })
-       p.p_last_variant);
-  t.selections <- p.p_selections;
-  t.switches <- p.p_switches;
-  Queue.clear t.history;
-  Everest_parallel.Cache.clear t.select_memo
-
 (* One closed-loop step: select, execute via [run], feed the measurement
    back.  [run] returns the measured metrics of the chosen variant. *)
 let step (t : t) ~features ~run =

@@ -35,21 +35,6 @@ val observe :
   measured:Knowledge.metrics ->
   unit
 
-(** {2 Checkpoint / restore} *)
-
-(** Knowledge points, hysteresis anchor (last variant name) and counters.
-    History and the selection memo restart empty — both are
-    non-behavioural. *)
-type persisted = {
-  p_points : Knowledge.point list;
-  p_last_variant : string option;
-  p_selections : int;
-  p_switches : int;
-}
-
-val export : t -> persisted
-val import : t -> persisted -> unit
-
 (** One closed-loop step: select, execute via [run] (returning measured
     metrics), observe. *)
 val step :

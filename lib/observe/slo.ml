@@ -258,10 +258,10 @@ let snapshot m : result =
   { res_name = m.m_spec.slo_name; res_kind = kind; attained; target; met;
     budget; budget_used = bad_frac /. budget; total; bad }
 
-(* Checkpoint/restore: the monitor's full mutable core.  Events are a
-   newest-first list, independent of the ring layout, so encoded
-   snapshots do not change when the ring grows or wraps; the list is
-   built only here, never on the observe path. *)
+(* The monitor's full mutable core, for differential tests against a
+   reference monitor.  Events are a newest-first list, independent of
+   the ring layout; the list is built only here, never on the observe
+   path. *)
 type monitor_state = {
   ms_events : (float * bool) list;  (* newest first *)
   ms_total : int;
@@ -281,31 +281,6 @@ let monitor_export m =
   done;
   { ms_events = !events; ms_total = m.m_total; ms_bad = m.m_bad;
     ms_last_t = m.m_last_t; ms_firing = m.m_firing; ms_alerts = m.m_alerts }
-
-let monitor_import m s =
-  let rec newest_first = function
-    | (t, _) :: ((t', _) :: _ as rest) -> t >= t' && newest_first rest
-    | [ (t, _) ] -> not (Float.is_nan t)
-    | [] -> true
-  in
-  if not (newest_first s.ms_events) then
-    invalid_arg "Slo.monitor_import: events not newest first";
-  m.m_head <- 0;
-  m.m_len <- 0;
-  let window_bad =
-    List.fold_left (fun n (_, bad) -> if bad then n + 1 else n) 0 s.ms_events
-  in
-  let bad_before = ref (s.ms_bad - window_bad) in
-  List.iter
-    (fun (t, bad) ->
-      push m t ~bad_before:!bad_before;
-      if bad then incr bad_before)
-    (List.rev s.ms_events);
-  m.m_total <- s.ms_total;
-  m.m_bad <- s.ms_bad;
-  m.m_last_t <- s.ms_last_t;
-  m.m_firing <- s.ms_firing;
-  m.m_alerts <- s.ms_alerts
 
 (* ---- serialization -------------------------------------------------------------- *)
 

@@ -105,12 +105,11 @@ val observe : monitor -> now:float -> ?latency_s:float -> ok:bool -> unit -> uni
     bounded window does not keep every latency). *)
 val snapshot : monitor -> result
 
-(** {2 Checkpoint / restore} *)
+(** {2 Inspection} *)
 
-(** The monitor's full mutable core; a restored monitor burns and prunes
-    byte-identically to one that never stopped.  Events are a
-    newest-first list, independent of the ring layout, so encoded
-    snapshots do not depend on it. *)
+(** The monitor's full mutable core, for differential tests against a
+    reference monitor.  Events are a newest-first list, independent of
+    the ring layout. *)
 type monitor_state = {
   ms_events : (float * bool) list;  (** (t, bad), newest first *)
   ms_total : int;
@@ -120,13 +119,8 @@ type monitor_state = {
   ms_alerts : int;
 }
 
-(** Builds the event list from the ring; O(window), paid only when a
-    snapshot is taken. *)
+(** Builds the event list from the ring; O(window). *)
 val monitor_export : monitor -> monitor_state
-
-(** Overwrite the monitor with a state.  Raises [Invalid_argument] if
-    [ms_events] is not newest first (times non-increasing, none NaN). *)
-val monitor_import : monitor -> monitor_state -> unit
 
 (** {2 Serialization} *)
 

@@ -35,11 +35,5 @@ let float t = float_of_int (next t) /. float_of_int modulus
 (* Derive an independent deterministic stream, e.g. one per parallel task. *)
 let split t = create (next t)
 
-(* Raw stream position, for checkpoint/restore.  [set_state] guards the
-   incoming value the same way [create] guards seeds, so a corrupted
-   snapshot can never install the absorbing state 0. *)
+(* Raw stream position, e.g. for a checkpoint's state digest. *)
 let state t = t.state
-
-let set_state t s =
-  let s = ((s mod modulus) + modulus) mod modulus in
-  t.state <- (if s = 0 then 1 else s)

@@ -25,9 +25,5 @@ val float : t -> float
 (** Derive an independent deterministic child stream. *)
 val split : t -> t
 
-(** Raw stream position, for checkpoint/restore. *)
+(** Raw stream position, e.g. for a checkpoint's state digest. *)
 val state : t -> int
-
-(** Restore a stream position previously read with {!state}.  The value is
-    guarded like a seed: it can never install the absorbing state 0. *)
-val set_state : t -> int -> unit

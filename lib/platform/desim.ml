@@ -35,14 +35,6 @@ let create () =
 
 let now sim = sim.now
 
-(* Jump the clock forward without executing anything — recovery restores
-   a simulation into a fresh engine at the snapshot's timestamp before
-   re-inserting its pending events.  Forward-only: rewinding would break
-   the monotonicity every scheduled callback relies on. *)
-let warp sim t =
-  if t < sim.now then invalid_arg "Desim.warp: cannot warp backwards";
-  sim.now <- t
-
 let lt a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
 
 let sift_up heap i0 =

@@ -12,12 +12,6 @@ val create : unit -> t
 (** Current simulated time in seconds. *)
 val now : t -> float
 
-(** [warp sim t] jumps the clock forward to absolute time [t] without
-    executing anything — used by recovery to rebuild a simulation at a
-    snapshot's timestamp before re-inserting its pending events.
-    @raise Invalid_argument for times in the past. *)
-val warp : t -> float -> unit
-
 (** [schedule sim delay f] runs [f] at [now + delay].
     @raise Invalid_argument on negative delays. *)
 val schedule : t -> float -> (unit -> unit) -> unit

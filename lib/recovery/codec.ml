@@ -29,7 +29,7 @@ let int w i =
 (* Floats are written as the 16 hex digits of their IEEE-754 bit pattern:
    bit-exact for every value including infinities, NaNs and signed zeros,
    and an order of magnitude cheaper to produce than printf float
-   formatting — float tokens dominate snapshot bodies, so this is the
+   formatting — float tokens dominate journal records, so this is the
    codec's hot path. *)
 let hex_digits = "0123456789abcdef"
 
@@ -80,27 +80,6 @@ let contents w = Buffer.contents w.buf
 let reset w =
   Buffer.clear w.buf;
   w.first <- true
-
-(* Append everything written so far into [dst] without the intermediate
-   string that [contents] would build. *)
-let blit_into w dst = Buffer.add_buffer dst w.buf
-
-(* Splice a pre-encoded run of tokens (produced by this same codec)
-   directly into the stream — a memcpy instead of re-encoding.  The
-   caller guarantees the buffer holds zero or more space-separated
-   tokens with no leading or trailing separator; an empty buffer
-   splices nothing. *)
-let splice w b =
-  if Buffer.length b > 0 then begin
-    sep w;
-    Buffer.add_buffer w.buf b
-  end
-
-let splice_str w s =
-  if String.length s > 0 then begin
-    sep w;
-    Buffer.add_string w.buf s
-  end
 
 (* ---- reader --------------------------------------------------------------------- *)
 
@@ -174,11 +153,6 @@ let r_str r =
   end
 
 let at_end r = r.pos >= String.length r.s
-
-(* Expect a literal tag token — the schema self-check inside a record. *)
-let expect r tag =
-  let t = token r in
-  if not (String.equal t tag) then fail "expected tag %S, got %S" tag t
 
 (* ---- composite helpers ---------------------------------------------------------- *)
 

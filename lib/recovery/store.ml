@@ -7,10 +7,11 @@
 
    Writing snapshot [n] atomically (tmp + rename) then starting segment
    [n] keeps the invariant that segment [n] only ever holds events that
-   happened after snapshot [n]: restore = newest valid snapshot [k] +
-   replay of segments [k..last].  Snapshots that fail validation are
-   skipped — restore falls back to the previous one and re-replays a
-   longer tail, it never silently loads damaged state.
+   happened after snapshot [n].  Restore re-executes the run from t=0
+   ({!Replay}): the whole journal, segments [0..last], is the replay
+   tail and the newest valid snapshot is the integrity anchor checked on
+   the way.  Snapshots that fail validation are skipped — restore falls
+   back to the previous anchor, it never trusts damaged bytes.
 
    Crash injection for drills and the QCheck byte-identity property is
    armed here: after N appended records the store flushes (the record
@@ -52,7 +53,6 @@ type t = {
   mutable seg_index : int;
   mutable crash_after : int option;
   mutable records_written : int;
-  mutable records_replayed : int;
   mutable snapshots_written : int;
   mutable journal_bytes : int;
   mutable snapshot_bytes : int;
@@ -123,7 +123,6 @@ let open_store ?(fresh = false) ~dir ~fingerprint () =
       seg_index = -1;
       crash_after = None;
       records_written = 0;
-      records_replayed = 0;
       snapshots_written = 0;
       journal_bytes = 0;
       snapshot_bytes = 0;
@@ -243,11 +242,10 @@ let heal_segment t i =
   end;
   seg
 
-(* [genesis] replays the journal from segment 0 regardless of which
-   snapshot anchors the resume — used by the workflow executor, whose
-   restore model is deterministic re-execution verified against the
-   journal, with snapshots serving as integrity anchors. *)
-let plan_resume ?(genesis = false) t =
+(* Every client restores by deterministic re-execution verified against
+   the journal ({!Replay}), so the tail is the whole journal from segment
+   0 and the chosen snapshot serves as the integrity anchor. *)
+let plan_resume t =
   close t;
   let snaps = List.rev (snapshot_indices t) in  (* newest first *)
   if snaps = [] then raise (Recovery_error No_snapshot);
@@ -260,8 +258,6 @@ let plan_resume ?(genesis = false) t =
   in
   let index, state, skipped = pick [] snaps in
   let segs = segment_indices t in
-  let first_seg = if genesis then 0 else index in
-  let replay_segs = List.filter (fun i -> i >= first_seg) segs in
   let torn = ref false in
   let tail =
     List.concat_map
@@ -269,7 +265,7 @@ let plan_resume ?(genesis = false) t =
         let seg = heal_segment t i in
         if seg.Journal.sg_torn then torn := true;
         seg.Journal.sg_records)
-      replay_segs
+      segs
   in
   (* Keep appending to the newest segment on disk; the next snapshot
      gets a fresh index above everything present (including rejected

@@ -99,34 +99,6 @@ let record b ~now ~ok =
 let transitions b = List.rev b.transitions
 let opens b = b.opens
 
-(* Checkpoint/restore: the full mutable core, transitions oldest first. *)
-type persisted = {
-  p_state : state;
-  p_failures : int;
-  p_opened_at : float;
-  p_probes : int;
-  p_opens : int;
-  p_transitions : (float * state) list;  (* oldest first *)
-}
-
-let export b =
-  {
-    p_state = b.cur;
-    p_failures = b.consecutive_failures;
-    p_opened_at = b.opened_at;
-    p_probes = b.probes;
-    p_opens = b.opens;
-    p_transitions = List.rev b.transitions;
-  }
-
-let import b p =
-  b.cur <- p.p_state;
-  b.consecutive_failures <- p.p_failures;
-  b.opened_at <- p.p_opened_at;
-  b.probes <- p.p_probes;
-  b.opens <- p.p_opens;
-  b.transitions <- List.rev p.p_transitions
-
 let pp_state ppf s = Fmt.string ppf (state_name s)
 
 let pp ppf b =

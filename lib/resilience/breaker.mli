@@ -39,19 +39,5 @@ val transitions : t -> (float * state) list
 (** Times the breaker has opened. *)
 val opens : t -> int
 
-(** {2 Checkpoint / restore} *)
-
-type persisted = {
-  p_state : state;
-  p_failures : int;
-  p_opened_at : float;
-  p_probes : int;
-  p_opens : int;
-  p_transitions : (float * state) list;  (** oldest first *)
-}
-
-val export : t -> persisted
-val import : t -> persisted -> unit
-
 val pp_state : Format.formatter -> state -> unit
 val pp : Format.formatter -> t -> unit

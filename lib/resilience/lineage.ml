@@ -86,19 +86,11 @@ let prune ?(keep_replicas = 1) t ~now =
     tasks;
   !dropped
 
-(* Checkpoint/restore: copies per task, sorted by task id for
-   byte-deterministic serialization. *)
+(* Copies per task, sorted by task id for a byte-deterministic
+   checkpoint digest. *)
 let export t =
   Hashtbl.fold
     (fun task cs acc ->
       (task, List.map (fun c -> (c.c_node, c.c_since)) cs) :: acc)
     t.copies []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let import t entries =
-  Hashtbl.reset t.copies;
-  List.iter
-    (fun (task, cs) ->
-      Hashtbl.replace t.copies task
-        (List.map (fun (c_node, c_since) -> { c_node; c_since }) cs))
-    entries

@@ -33,8 +33,6 @@ val total_copies : t -> int
     copies dropped. *)
 val prune : ?keep_replicas:int -> t -> now:float -> int
 
-(** Checkpoint/restore: copies per task (node, since), primary first,
-    sorted by task id. *)
+(** Copies per task (node, since), primary first, sorted by task id —
+    the lineage part of the executor's checkpoint digest. *)
 val export : t -> (int * (string * float) list) list
-
-val import : t -> (int * (string * float) list) list -> unit

@@ -96,68 +96,6 @@ let breaker_state orch dk ~variant =
 let find_kernel orch name =
   List.find (fun k -> String.equal k.kname name) orch.kernels
 
-(* Checkpoint/restore.  The behavioural cross-request state of an
-   orchestrator is: its simulated clock (breaker cooldowns and retry
-   backoffs are measured on it), which bitstreams each FPGA device holds
-   in which slot (whether the next invocation pays reconfiguration), and
-   per deployed kernel the tuner knowledge plus breaker states.  Energy,
-   utilization and counter telemetry is deliberately left out — it never
-   feeds back into scheduling decisions. *)
-type persisted_state = {
-  ps_clock : float;
-  ps_fpgas : (int * int * (int * string) list) list;
-      (* dev_id, next_slot, slot -> bitstream *)
-  ps_kernels :
-    (string * Tuner.persisted
-    * (string * Everest_resilience.Breaker.persisted) list)
-    list;
-}
-
-let export_state orch =
-  {
-    ps_clock = Desim.now orch.cluster.Cluster.sim;
-    ps_fpgas =
-      List.map
-        (fun d -> (d.Node.dev_id, d.Node.next_slot, d.Node.loaded))
-        orch.host.Node.fpgas;
-    ps_kernels =
-      List.map
-        (fun dk ->
-          ( dk.kname,
-            Tuner.export dk.tuner,
-            List.map
-              (fun (v, b) -> (v, Everest_resilience.Breaker.export b))
-              dk.breakers ))
-        orch.kernels;
-  }
-
-(* Restore into a freshly created-and-deployed orchestrator: kernels and
-   variants must already exist (the deployment is code, not state). *)
-let restore_state orch ps =
-  Desim.warp orch.cluster.Cluster.sim ps.ps_clock;
-  List.iter
-    (fun (dev_id, next_slot, loaded) ->
-      match
-        List.find_opt (fun d -> d.Node.dev_id = dev_id) orch.host.Node.fpgas
-      with
-      | Some d ->
-          d.Node.next_slot <- next_slot;
-          d.Node.loaded <- loaded
-      | None -> invalid_arg "Orchestrator.restore_state: unknown FPGA device")
-    ps.ps_fpgas;
-  List.iter
-    (fun (kname, tuner_p, breakers_p) ->
-      let dk = find_kernel orch kname in
-      Tuner.import dk.tuner tuner_p;
-      List.iter
-        (fun (variant, bp) ->
-          match List.assoc_opt variant dk.breakers with
-          | Some b -> Everest_resilience.Breaker.import b bp
-          | None ->
-              invalid_arg "Orchestrator.restore_state: unknown breaker")
-        breakers_p)
-    ps.ps_kernels
-
 (* Snapshot the runtime layers — tuner decisions, vFPGA activity, the data
    protection monitors — into telemetry gauges of the orchestrator's
    registry. *)

@@ -78,30 +78,6 @@ val deploy :
 
 val find_kernel : t -> string -> deployed_kernel
 
-(** {2 Checkpoint / restore} *)
-
-(** The behavioural cross-request state: simulated clock, FPGA slot
-    contents (whether the next invocation pays reconfiguration), and per
-    deployed kernel the tuner knowledge plus breaker states.  Telemetry
-    counters are deliberately excluded — they never feed back into
-    scheduling. *)
-type persisted_state = {
-  ps_clock : float;
-  ps_fpgas : (int * int * (int * string) list) list;
-      (** dev_id, next_slot, slot -> bitstream *)
-  ps_kernels :
-    (string * Everest_autotune.Tuner.persisted
-    * (string * Everest_resilience.Breaker.persisted) list)
-    list;
-}
-
-val export_state : t -> persisted_state
-
-(** Restore into a freshly created-and-deployed orchestrator: kernels and
-    variants must already exist (deployment is code, not state).
-    @raise Invalid_argument on unknown devices/kernels/variants. *)
-val restore_state : t -> persisted_state -> unit
-
 (** Breaker state of a hardware variant at the current simulated time;
     [None] for software variants. *)
 val breaker_state :

@@ -123,32 +123,3 @@ let rejected t ~tenant =
 
 let note_rejection t ~tenant reason = bump (state t tenant) reason
 let rejections_by_reason t ~tenant = (state t tenant).ts_rejected
-
-(* Checkpoint/restore: per-tenant bucket fill and decision counters, in
-   [a_tenants] order.  Monitors are shared with the fabric and restored
-   there. *)
-type tenant_persisted = {
-  tp_tenant : string;
-  tp_tokens : float;
-  tp_last : float;
-  tp_admitted : int;
-  tp_rejected : (reason * int) list;
-}
-
-let export t =
-  List.map
-    (fun (name, ts) ->
-      { tp_tenant = name; tp_tokens = ts.ts_bucket.b_tokens;
-        tp_last = ts.ts_bucket.b_last; tp_admitted = ts.ts_admitted;
-        tp_rejected = ts.ts_rejected })
-    t.a_tenants
-
-let import t persisted =
-  List.iter
-    (fun tp ->
-      let ts = state t tp.tp_tenant in
-      ts.ts_bucket.b_tokens <- tp.tp_tokens;
-      ts.ts_bucket.b_last <- tp.tp_last;
-      ts.ts_admitted <- tp.tp_admitted;
-      ts.ts_rejected <- tp.tp_rejected)
-    persisted

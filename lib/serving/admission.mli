@@ -21,10 +21,6 @@ type reason =
 
 val reason_name : reason -> string
 
-(** Every reason, in declaration order (e.g. for decoding a persisted
-    {!reason_name} back to its constructor). *)
-val all_reasons : reason list
-
 type decision = Admit | Reject of reason
 
 type bucket_config = {
@@ -69,18 +65,3 @@ val note_rejection : t -> tenant:string -> reason -> unit
 (** (reason, count) pairs for one tenant, in declaration order of
     {!reason}; zero-count reasons included. *)
 val rejections_by_reason : t -> tenant:string -> (reason * int) list
-
-(** {2 Checkpoint / restore} *)
-
-(** Per-tenant bucket fill and decision counters.  Monitors are shared
-    with the fabric and restored there. *)
-type tenant_persisted = {
-  tp_tenant : string;
-  tp_tokens : float;
-  tp_last : float;
-  tp_admitted : int;
-  tp_rejected : (reason * int) list;
-}
-
-val export : t -> tenant_persisted list
-val import : t -> tenant_persisted list -> unit

@@ -82,27 +82,3 @@ let worker_up t =
   t.t_requested <- t.t_requested - 1;
   t.t_workers <- min t.t_config.max_workers (t.t_workers + 1);
   t.t_spawned <- t.t_spawned + 1
-
-(* Checkpoint/restore: the five mutable counters.  [t_requested] must be
-   restored consistently with the pending Spawn events the fabric
-   re-inserts, which the snapshot guarantees by capturing both at the
-   same instant. *)
-type persisted = {
-  p_workers : int;
-  p_requested : int;
-  p_idle_ticks : int;
-  p_spawned : int;
-  p_retired : int;
-}
-
-let export t =
-  { p_workers = t.t_workers; p_requested = t.t_requested;
-    p_idle_ticks = t.t_idle_ticks; p_spawned = t.t_spawned;
-    p_retired = t.t_retired }
-
-let import t p =
-  t.t_workers <- p.p_workers;
-  t.t_requested <- p.p_requested;
-  t.t_idle_ticks <- p.p_idle_ticks;
-  t.t_spawned <- p.p_spawned;
-  t.t_retired <- p.p_retired

@@ -53,18 +53,3 @@ val tick : t -> depth:int -> busy:int -> backlog_age_s:float -> action
 
 (** A requested worker came up. *)
 val worker_up : t -> unit
-
-(** {2 Checkpoint / restore} *)
-
-(** The controller's five mutable counters.  [p_requested] must stay
-    consistent with the Spawn events the fabric re-inserts at restore. *)
-type persisted = {
-  p_workers : int;
-  p_requested : int;
-  p_idle_ticks : int;
-  p_spawned : int;
-  p_retired : int;
-}
-
-val export : t -> persisted
-val import : t -> persisted -> unit

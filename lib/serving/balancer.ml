@@ -96,11 +96,6 @@ let route t ~tenant ~routable ~outstanding =
       !best
   | Tenant_affinity _ -> ring_route t ~tenant ~routable
 
-(* Checkpoint/restore: the round-robin cursor is the only mutable state;
-   the ring is rebuilt deterministically from the policy. *)
-let cursor t = t.b_cursor
-let set_cursor t c = t.b_cursor <- if t.b_n > 0 then ((c mod t.b_n) + t.b_n) mod t.b_n else 0
-
 let affinity_home t ~tenant =
   match t.b_policy with
   | Tenant_affinity _ -> ring_route t ~tenant ~routable:(fun _ -> true)

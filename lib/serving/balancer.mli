@@ -45,11 +45,3 @@ val route :
 (** The shard a tenant maps to on an all-healthy ring ([Tenant_affinity]
     only); exposed for remap analysis in tests. *)
 val affinity_home : t -> tenant:string -> int option
-
-(** {2 Checkpoint / restore} *)
-
-(** Round-robin cursor — the only mutable routing state; the hash ring
-    is rebuilt deterministically from the policy. *)
-val cursor : t -> int
-
-val set_cursor : t -> int -> unit

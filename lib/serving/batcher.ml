@@ -96,20 +96,3 @@ let next_deadline t =
       let d = p.p_oldest_s +. t.t_config.max_delay_s in
       match acc with Some a when a <= d -> acc | _ -> Some d)
     None t.t_keys
-
-(* Checkpoint/restore: per-key accumulators exactly as stored (requests
-   newest first, keys in insertion order) so a restored batcher forms the
-   same batches in the same order. *)
-let export t =
-  List.map
-    (fun (key, p) -> (key, p.p_oldest_s, p.p_requests))
-    t.t_keys
-
-let import t entries =
-  t.t_keys <-
-    List.map
-      (fun (key, oldest, requests) ->
-        (key, { p_requests = requests; p_oldest_s = oldest }))
-      entries;
-  t.t_pending <-
-    List.fold_left (fun acc (_, _, rs) -> acc + List.length rs) 0 entries

@@ -56,12 +56,3 @@ val oldest_age : t -> now:float -> float
 
 (** Earliest pending deadline (oldest member's arrival + max_delay_s). *)
 val next_deadline : t -> float option
-
-(** {2 Checkpoint / restore} *)
-
-(** Per-key accumulators [(key, oldest_arrival_s, requests)] with
-    requests newest first and keys in insertion order, exactly as
-    stored, so a restored batcher forms identical batches. *)
-val export : t -> (string * float * Workload.request list) list
-
-val import : t -> (string * float * Workload.request list) list -> unit

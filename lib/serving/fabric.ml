@@ -14,25 +14,23 @@
      the per-tenant SLO monitors and the closed-loop continuation.
 
    Crash consistency: every scheduled continuation is a *typed event*
-   ([ev]) — plain data, no closures — registered in [st_pending] under a
-   monotonically increasing id until it fires.  That design carries the
-   whole recovery story:
+   ([ev]) — plain data, no closures — numbered by a monotonically
+   increasing id, and the run is deterministic, so recovery needs no
+   state codec (replay is {!Everest_recovery.Replay}, shared with
+   the workflow executor):
 
    - Journal: when recovery is on, firing an event first appends its
-     encoded form to the write-ahead journal, then performs it.  Replay
-     after a crash re-derives each event and byte-compares it against
-     the journaled record (divergence is a typed error, not a wrong
-     answer).
-   - Snapshot: at tick boundaries the complete resumable state —
-     shard queues and batcher accumulators, admission buckets, SLO
-     monitor windows, breaker/tuner state inside each shard's
-     orchestrator, closed-loop RNG positions, and the pending event
-     set — serializes byte-deterministically.  Restore = decode the
-     newest valid snapshot into a freshly built fabric, warp the clock,
-     re-insert pending events in id order (id order equals original
-     insertion order, so Desim tie-breaking is preserved), then replay
-     the journal tail in verify mode until it is exhausted and the run
-     continues live. *)
+     encoded form (id, fire time, event) to the write-ahead journal,
+     then performs it.  The payload is encoded only then, and only when
+     recovery is on.
+   - Resume re-executes the run from t=0 into a freshly built fabric and
+     byte-compares each re-derived event against the journal;
+     divergence is a typed error, not a wrong answer.  When the journal
+     runs dry the run continues live.
+   - Snapshots are small integrity anchors: at tick boundaries due under
+     [rv_snapshot_every_s] the boundary count, sim time and scalar run
+     counters are written, and a resumed run checks the newest valid
+     anchor as it passes that boundary. *)
 
 module Slo = Everest_observe.Slo
 module Orch = Everest_runtime.Orchestrator
@@ -41,6 +39,7 @@ module Faults = Everest_resilience.Faults
 module Metrics = Everest_telemetry.Metrics
 module Codec = Everest_recovery.Codec
 module Store = Everest_recovery.Store
+module Replay = Everest_recovery.Replay
 module Watch = Everest_watch.Watch
 module Scrape = Everest_watch.Scrape
 
@@ -128,12 +127,8 @@ type recovery = {
   rv_snapshot_every_s : float;
 }
 
-(* Off = recovery disabled; Live = journaling ahead of every event;
-   Replay = verifying re-derived events against the journal tail. *)
-type rmode = R_off | R_live | R_replay of string list ref
-
 type restore_report = {
-  rr_snapshot_index : int;  (* snapshot the resume anchored on *)
+  rr_snapshot_index : int;  (* snapshot whose anchor the replay checked *)
   rr_fallbacks : int;  (* newer snapshots rejected as invalid *)
   rr_skipped : (int * string) list;  (* index, why it was rejected *)
   rr_replayed : int;  (* journal records replay-verified *)
@@ -157,8 +152,8 @@ let fingerprint (config : config) ~tenants ~horizon =
 (* ---- run state ------------------------------------------------------------------ *)
 
 (* Typed fabric events.  Everything Desim will ever run on the fabric
-   clock is one of these — plain data, so the pending set can be
-   snapshotted and a restored run can re-create the closures. *)
+   clock is one of these — plain data, so each one encodes to a journal
+   record that a resumed run re-derives and compares. *)
 type ev =
   | Ev_arrival of Workload.request  (* fresh arrival passing admission *)
   | Ev_complete of {
@@ -180,35 +175,21 @@ type state = {
   st_monitors : (string * Slo.monitor list) list;  (* per tenant *)
   st_users : Workload.closed_user list;
   st_user_index : (string * int, Workload.closed_user) Hashtbl.t;
-      (* (tenant, user index) -> first such user in [st_users]; derived
-         from [st_users] at build time, so it needs no codec *)
+      (* (tenant, user index) -> first such user in [st_users] *)
   st_horizon : float;
   st_registry : Metrics.registry;
   mutable st_log : served_request list;  (* newest first *)
-  st_log_enc : Buffer.t;
-      (* the same log, codec-encoded incrementally (oldest first): each
-         entry is encoded exactly once when resolved, so a snapshot
-         splices these bytes instead of re-encoding the whole log —
-         snapshot cost stays O(live state), not O(run length) *)
   mutable st_outstanding : int;  (* admitted, not yet resolved *)
   mutable st_arrivals_pending : int;  (* scheduled arrival events *)
   mutable st_next_id : int;
   mutable st_reroutes : int;
   st_failures : (int, int) Hashtbl.t;  (* request id -> failed executions *)
   (* recovery *)
-  st_recovery : recovery option;
-  mutable st_rmode : rmode;
+  st_recovery : (recovery * Replay.t) option;
   mutable st_ev_seq : int;  (* next event id *)
   st_scratch : Codec.writer;  (* reused for per-event record encoding *)
-  st_pending : (int, float * ev * string) Hashtbl.t;
-      (* scheduled, not yet fired: fire time, event, and (when recovery is
-         on) the event's journal payload, encoded once at schedule time —
-         fired events append it to the journal, snapshots splice it, so
-         neither path re-encodes.  Sound because Desim fires an event at
-         exactly its scheduled time and events are immutable data. *)
   mutable st_last_snap : float;
-  mutable st_snap_index : int;
-  mutable st_replayed : int;
+  mutable st_boundary : int;  (* anchor boundaries passed *)
   st_watch : Watch.t option;
       (* strictly read-only observer: scraped on control ticks, fed
          latencies at resolve — never schedules events or feeds back, so
@@ -231,7 +212,7 @@ let tenant_monitors st tenant =
 
 let counter st ?labels name = Metrics.counter ~registry:st.st_registry ?labels name
 
-(* ---- event and state codec ------------------------------------------------------ *)
+(* ---- journal records ---------------------------------------------------------- *)
 
 let encode_request w (rq : Workload.request) =
   Codec.int w rq.Workload.rq_id;
@@ -241,17 +222,6 @@ let encode_request w (rq : Workload.request) =
   Codec.int w rq.Workload.rq_seq;
   Codec.float w rq.Workload.rq_arrival_s;
   Codec.assoc_floats w rq.Workload.rq_features
-
-let decode_request r =
-  let rq_id = Codec.r_int r in
-  let rq_tenant = Codec.r_str r in
-  let rq_kernel = Codec.r_str r in
-  let rq_user = Codec.r_int r in
-  let rq_seq = Codec.r_int r in
-  let rq_arrival_s = Codec.r_float r in
-  let rq_features = Codec.r_assoc_floats r in
-  { Workload.rq_id; rq_tenant; rq_kernel; rq_user; rq_seq; rq_arrival_s;
-    rq_features }
 
 let encode_entry w (e : Orch.request_log) =
   Codec.int w e.Orch.req;
@@ -263,27 +233,10 @@ let encode_entry w (e : Orch.request_log) =
   Codec.bool w e.Orch.ok;
   Codec.float w e.Orch.t_done
 
-let decode_entry r =
-  let req = Codec.r_int r in
-  let requested = Codec.r_str r in
-  let variant = Codec.r_str r in
-  let latency_s = Codec.r_float r in
-  let attempts = Codec.r_int r in
-  let degraded = Codec.r_bool r in
-  let ok = Codec.r_bool r in
-  let t_done = Codec.r_float r in
-  { Orch.req; requested; variant; latency_s; attempts; degraded; ok; t_done }
-
 let encode_batch w (b : Batcher.batch) =
   Codec.str w b.Batcher.b_key;
   Codec.float w b.Batcher.b_formed_s;
   Codec.list w b.Batcher.b_requests ~item:encode_request
-
-let decode_batch r =
-  let b_key = Codec.r_str r in
-  let b_formed_s = Codec.r_float r in
-  let b_requests = Codec.r_list r ~item:decode_request in
-  { Batcher.b_key; b_requests; b_formed_s }
 
 let encode_ev w = function
   | Ev_arrival rq ->
@@ -303,20 +256,6 @@ let encode_ev w = function
       Codec.int w sid
   | Ev_tick -> Codec.str w "T"
 
-let decode_ev r =
-  match Codec.r_str r with
-  | "A" -> Ev_arrival (decode_request r)
-  | "C" ->
-      let c_sid = Codec.r_int r in
-      let c_start = Codec.r_float r in
-      let c_batch = decode_batch r in
-      let c_entry = decode_entry r in
-      Ev_complete { c_sid; c_start; c_batch; c_entry }
-  | "F" -> Ev_flush (Codec.r_int r)
-  | "S" -> Ev_spawn (Codec.r_int r)
-  | "T" -> Ev_tick
-  | t -> raise (Codec.Decode ("unknown event tag " ^ t))
-
 (* One journal record: event id, fire time, event body.  Replay
    re-derives this payload and byte-compares it against the journal. *)
 let pending_payload w id ~at ev =
@@ -326,358 +265,24 @@ let pending_payload w id ~at ev =
   encode_ev w ev;
   Codec.contents w
 
-let encode_outcome w = function
-  | Served -> Codec.str w "ok"
-  | Rejected reason ->
-      Codec.str w "rej";
-      Codec.str w (Admission.reason_name reason)
-  | Failed why ->
-      Codec.str w "fail";
-      Codec.str w why
-
-let decode_reason name =
-  match
-    List.find_opt
-      (fun x -> String.equal (Admission.reason_name x) name)
-      Admission.all_reasons
-  with
-  | Some x -> x
-  | None -> raise (Codec.Decode ("unknown rejection reason " ^ name))
-
-let decode_outcome r =
-  match Codec.r_str r with
-  | "ok" -> Served
-  | "rej" -> Rejected (decode_reason (Codec.r_str r))
-  | "fail" -> Failed (Codec.r_str r)
-  | t -> raise (Codec.Decode ("unknown outcome tag " ^ t))
-
-let encode_served w x =
-  Codec.int w x.sr_id;
-  Codec.str w x.sr_tenant;
-  Codec.str w x.sr_kernel;
-  Codec.int w x.sr_shard;
-  Codec.float w x.sr_arrival_s;
-  Codec.float w x.sr_done_s;
-  Codec.float w x.sr_latency_s;
-  encode_outcome w x.sr_outcome;
-  Codec.int w x.sr_batch;
-  Codec.int w x.sr_attempts;
-  Codec.str w x.sr_variant;
-  Codec.bool w x.sr_degraded
-
-let decode_served r =
-  let sr_id = Codec.r_int r in
-  let sr_tenant = Codec.r_str r in
-  let sr_kernel = Codec.r_str r in
-  let sr_shard = Codec.r_int r in
-  let sr_arrival_s = Codec.r_float r in
-  let sr_done_s = Codec.r_float r in
-  let sr_latency_s = Codec.r_float r in
-  let sr_outcome = decode_outcome r in
-  let sr_batch = Codec.r_int r in
-  let sr_attempts = Codec.r_int r in
-  let sr_variant = Codec.r_str r in
-  let sr_degraded = Codec.r_bool r in
-  { sr_id; sr_tenant; sr_kernel; sr_shard; sr_arrival_s; sr_done_s;
-    sr_latency_s; sr_outcome; sr_batch; sr_attempts; sr_variant; sr_degraded }
-
-(* Append one entry to the incrementally-encoded served log. *)
-let log_enc_add st entry =
-  let w = st.st_scratch in
-  Codec.reset w;
-  encode_served w entry;
-  if Buffer.length st.st_log_enc > 0 then Buffer.add_char st.st_log_enc ' ';
-  Codec.blit_into w st.st_log_enc
-
-let breaker_state_of_name = function
-  | "closed" -> Everest_resilience.Breaker.Closed
-  | "open" -> Everest_resilience.Breaker.Open
-  | "half-open" -> Everest_resilience.Breaker.Half_open
-  | s -> raise (Codec.Decode ("unknown breaker state " ^ s))
-
-let encode_breaker w (p : Everest_resilience.Breaker.persisted) =
-  Codec.str w (Everest_resilience.Breaker.state_name p.p_state);
-  Codec.int w p.p_failures;
-  Codec.float w p.p_opened_at;
-  Codec.int w p.p_probes;
-  Codec.int w p.p_opens;
-  Codec.list w p.p_transitions ~item:(fun w (t, s) ->
-      Codec.float w t;
-      Codec.str w (Everest_resilience.Breaker.state_name s))
-
-let decode_breaker r =
-  let p_state = breaker_state_of_name (Codec.r_str r) in
-  let p_failures = Codec.r_int r in
-  let p_opened_at = Codec.r_float r in
-  let p_probes = Codec.r_int r in
-  let p_opens = Codec.r_int r in
-  let p_transitions =
-    Codec.r_list r ~item:(fun r ->
-        let t = Codec.r_float r in
-        let s = breaker_state_of_name (Codec.r_str r) in
-        (t, s))
-  in
-  { Everest_resilience.Breaker.p_state; p_failures; p_opened_at; p_probes;
-    p_opens; p_transitions }
-
-let encode_tuner w (p : Everest_autotune.Tuner.persisted) =
-  Codec.list w p.Everest_autotune.Tuner.p_points ~item:(fun w pt ->
-      Codec.str w pt.Everest_autotune.Knowledge.variant;
-      Codec.assoc_floats w pt.Everest_autotune.Knowledge.features;
-      Codec.assoc_floats w pt.Everest_autotune.Knowledge.metrics);
-  (match p.Everest_autotune.Tuner.p_last_variant with
-  | Some v ->
-      Codec.bool w true;
-      Codec.str w v
-  | None -> Codec.bool w false);
-  Codec.int w p.Everest_autotune.Tuner.p_selections;
-  Codec.int w p.Everest_autotune.Tuner.p_switches
-
-let decode_tuner r =
-  let p_points =
-    Codec.r_list r ~item:(fun r ->
-        let variant = Codec.r_str r in
-        let features = Codec.r_assoc_floats r in
-        let metrics = Codec.r_assoc_floats r in
-        { Everest_autotune.Knowledge.variant; features; metrics })
-  in
-  let p_last_variant =
-    if Codec.r_bool r then Some (Codec.r_str r) else None
-  in
-  let p_selections = Codec.r_int r in
-  let p_switches = Codec.r_int r in
-  { Everest_autotune.Tuner.p_points; p_last_variant; p_selections; p_switches }
-
-let encode_orch w (p : Orch.persisted_state) =
-  Codec.float w p.Orch.ps_clock;
-  Codec.list w p.Orch.ps_fpgas ~item:(fun w (dev_id, next_slot, loaded) ->
-      Codec.int w dev_id;
-      Codec.int w next_slot;
-      Codec.list w loaded ~item:(fun w (slot, bs) ->
-          Codec.int w slot;
-          Codec.str w bs));
-  Codec.list w p.Orch.ps_kernels ~item:(fun w (kname, tuner, breakers) ->
-      Codec.str w kname;
-      encode_tuner w tuner;
-      Codec.list w breakers ~item:(fun w (variant, bp) ->
-          Codec.str w variant;
-          encode_breaker w bp))
-
-let decode_orch r =
-  let ps_clock = Codec.r_float r in
-  let ps_fpgas =
-    Codec.r_list r ~item:(fun r ->
-        let dev_id = Codec.r_int r in
-        let next_slot = Codec.r_int r in
-        let loaded =
-          Codec.r_list r ~item:(fun r ->
-              let slot = Codec.r_int r in
-              let bs = Codec.r_str r in
-              (slot, bs))
-        in
-        (dev_id, next_slot, loaded))
-  in
-  let ps_kernels =
-    Codec.r_list r ~item:(fun r ->
-        let kname = Codec.r_str r in
-        let tuner = decode_tuner r in
-        let breakers =
-          Codec.r_list r ~item:(fun r ->
-              let variant = Codec.r_str r in
-              let bp = decode_breaker r in
-              (variant, bp))
-        in
-        (kname, tuner, breakers))
-  in
-  { Orch.ps_clock; ps_fpgas; ps_kernels }
-
-let encode_shard w (s : Shard.t) =
-  Codec.int w s.Shard.s_busy;
-  Codec.int w s.Shard.s_inflight;
-  Codec.int w s.Shard.s_served;
-  Codec.int w s.Shard.s_failed;
-  Codec.int w s.Shard.s_batches;
-  Codec.int w s.Shard.s_batched_requests;
-  Codec.int w s.Shard.s_peak_workers;
-  let a = Autoscale.export s.Shard.s_scaler in
-  Codec.int w a.Autoscale.p_workers;
-  Codec.int w a.Autoscale.p_requested;
-  Codec.int w a.Autoscale.p_idle_ticks;
-  Codec.int w a.Autoscale.p_spawned;
-  Codec.int w a.Autoscale.p_retired;
-  Codec.list w (Batcher.export s.Shard.s_batcher)
-    ~item:(fun w (key, oldest, requests) ->
-      Codec.str w key;
-      Codec.float w oldest;
-      Codec.list w requests ~item:encode_request);
-  Codec.list w
-    (Queue.fold (fun acc b -> b :: acc) [] s.Shard.s_queue |> List.rev)
-    ~item:encode_batch;
-  encode_orch w (Orch.export_state s.Shard.s_orch)
-
-let decode_shard r (s : Shard.t) =
-  s.Shard.s_busy <- Codec.r_int r;
-  s.Shard.s_inflight <- Codec.r_int r;
-  s.Shard.s_served <- Codec.r_int r;
-  s.Shard.s_failed <- Codec.r_int r;
-  s.Shard.s_batches <- Codec.r_int r;
-  s.Shard.s_batched_requests <- Codec.r_int r;
-  s.Shard.s_peak_workers <- Codec.r_int r;
-  let p_workers = Codec.r_int r in
-  let p_requested = Codec.r_int r in
-  let p_idle_ticks = Codec.r_int r in
-  let p_spawned = Codec.r_int r in
-  let p_retired = Codec.r_int r in
-  Autoscale.import s.Shard.s_scaler
-    { Autoscale.p_workers; p_requested; p_idle_ticks; p_spawned; p_retired };
-  Batcher.import s.Shard.s_batcher
-    (Codec.r_list r ~item:(fun r ->
-         let key = Codec.r_str r in
-         let oldest = Codec.r_float r in
-         let requests = Codec.r_list r ~item:decode_request in
-         (key, oldest, requests)));
-  Queue.clear s.Shard.s_queue;
-  List.iter
-    (fun b -> Queue.push b s.Shard.s_queue)
-    (Codec.r_list r ~item:decode_batch);
-  Orch.restore_state s.Shard.s_orch (decode_orch r)
-
-let encode_monitor w m =
-  let s = Slo.monitor_export m in
-  Codec.list w s.Slo.ms_events ~item:(fun w (t, bad) ->
-      Codec.float w t;
-      Codec.bool w bad);
-  Codec.int w s.Slo.ms_total;
-  Codec.int w s.Slo.ms_bad;
-  Codec.float w s.Slo.ms_last_t;
-  Codec.bool w s.Slo.ms_firing;
-  Codec.int w s.Slo.ms_alerts
-
-let decode_monitor r m =
-  let ms_events =
-    Codec.r_list r ~item:(fun r ->
-        let t = Codec.r_float r in
-        let bad = Codec.r_bool r in
-        (t, bad))
-  in
-  let ms_total = Codec.r_int r in
-  let ms_bad = Codec.r_int r in
-  let ms_last_t = Codec.r_float r in
-  let ms_firing = Codec.r_bool r in
-  let ms_alerts = Codec.r_int r in
-  Slo.monitor_import m
-    { Slo.ms_events; ms_total; ms_bad; ms_last_t; ms_firing; ms_alerts }
-
-(* The complete resumable fabric state, as one byte-deterministic
-   record body (the Snapshot envelope adds version + checksum). *)
-let encode_state st =
+(* The anchor digest: sim time and the scalar run counters. *)
+let anchor_state st () =
   let w = Codec.writer () in
-  Codec.str w "fabric";
   Codec.float w (Desim.now st.st_sim);
   Codec.int w st.st_ev_seq;
   Codec.int w st.st_outstanding;
   Codec.int w st.st_arrivals_pending;
   Codec.int w st.st_next_id;
   Codec.int w st.st_reroutes;
-  Codec.list w
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.st_failures []
-    |> List.sort compare)
-    ~item:(fun w (k, v) ->
-      Codec.int w k;
-      Codec.int w v);
-  Codec.int w (Balancer.cursor st.st_balancer);
-  (* served log: count, then the pre-encoded entries (oldest first) *)
   Codec.int w (List.length st.st_log);
-  Codec.splice w st.st_log_enc;
-  Codec.list w (Admission.export st.st_admission) ~item:(fun w tp ->
-      Codec.str w tp.Admission.tp_tenant;
-      Codec.float w tp.Admission.tp_tokens;
-      Codec.float w tp.Admission.tp_last;
-      Codec.int w tp.Admission.tp_admitted;
-      Codec.list w tp.Admission.tp_rejected ~item:(fun w (reason, n) ->
-          Codec.str w (Admission.reason_name reason);
-          Codec.int w n));
-  Codec.list w st.st_monitors ~item:(fun w (name, ms) ->
-      Codec.str w name;
-      Codec.list w ms ~item:encode_monitor);
-  Codec.list w st.st_users ~item:(fun w u ->
-      Codec.int w (Workload.user_rng_state u));
-  Codec.list w (Array.to_list st.st_shards) ~item:encode_shard;
-  (* pending events: count, then each one's pre-encoded journal payload
-     (already "id at ev…"), spliced byte-for-byte in id order *)
-  let pend =
-    Hashtbl.fold (fun id (_, _, enc) acc -> (id, enc) :: acc) st.st_pending []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  Codec.int w (List.length pend);
-  List.iter (fun (_, enc) -> Codec.splice_str w enc) pend;
   Codec.contents w
 
-(* Decode a snapshot body into a freshly built state (same config /
-   tenants / deploy).  Returns the pending events, which the caller
-   re-inserts once the handlers exist. *)
-let decode_state st r =
-  Codec.expect r "fabric";
-  let now = Codec.r_float r in
-  Desim.warp st.st_sim now;
-  st.st_ev_seq <- Codec.r_int r;
-  st.st_outstanding <- Codec.r_int r;
-  st.st_arrivals_pending <- Codec.r_int r;
-  st.st_next_id <- Codec.r_int r;
-  st.st_reroutes <- Codec.r_int r;
-  Hashtbl.reset st.st_failures;
-  List.iter
-    (fun (k, v) -> Hashtbl.replace st.st_failures k v)
-    (Codec.r_list r ~item:(fun r ->
-         let k = Codec.r_int r in
-         let v = Codec.r_int r in
-         (k, v)));
-  Balancer.set_cursor st.st_balancer (Codec.r_int r);
-  let served = Codec.r_list r ~item:decode_served in  (* oldest first *)
-  st.st_log <- List.rev served;
-  Buffer.clear st.st_log_enc;
-  List.iter (fun e -> log_enc_add st e) served;
-  Admission.import st.st_admission
-    (Codec.r_list r ~item:(fun r ->
-         let tp_tenant = Codec.r_str r in
-         let tp_tokens = Codec.r_float r in
-         let tp_last = Codec.r_float r in
-         let tp_admitted = Codec.r_int r in
-         let tp_rejected =
-           Codec.r_list r ~item:(fun r ->
-               let reason = decode_reason (Codec.r_str r) in
-               let n = Codec.r_int r in
-               (reason, n))
-         in
-         { Admission.tp_tenant; tp_tokens; tp_last; tp_admitted; tp_rejected }));
-  let n_tenants = Codec.r_int r in
-  if n_tenants <> List.length st.st_monitors then
-    raise (Codec.Decode "tenant/monitor population mismatch");
-  List.iter
-    (fun (name, ms) ->
-      let got = Codec.r_str r in
-      if not (String.equal got name) then
-        raise (Codec.Decode ("monitor tenant mismatch: " ^ got));
-      let n = Codec.r_int r in
-      if n <> List.length ms then
-        raise (Codec.Decode "monitor count mismatch");
-      List.iter (fun m -> decode_monitor r m) ms)
-    st.st_monitors;
-  let user_states = Codec.r_list r ~item:Codec.r_int in
-  (try List.iter2 Workload.set_user_rng_state st.st_users user_states
-   with Invalid_argument _ ->
-     raise (Codec.Decode "closed-user population mismatch"));
-  let n_shards = Codec.r_int r in
-  if n_shards <> Array.length st.st_shards then
-    raise (Codec.Decode "shard count mismatch");
-  Array.iter (fun s -> decode_shard r s) st.st_shards;
-  Codec.r_list r ~item:(fun r ->
-      let id = Codec.r_int r in
-      let at = Codec.r_float r in
-      let ev = decode_ev r in
-      (* re-derive the payload so the restored pending set journals and
-         snapshots the exact bytes the uninterrupted run would *)
-      (id, at, ev, pending_payload st.st_scratch id ~at ev))
+(* Attribute the wall time of [f] to recovery work. *)
+let timed (rp : Replay.t) f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  let s = rp.Replay.store in
+  s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
 
 (* ---- the event loop ------------------------------------------------------------- *)
 
@@ -701,13 +306,6 @@ let rec resolve st (rq : Workload.request) ~shard ~outcome ~batch ~variant
       sr_attempts = attempts; sr_variant = variant; sr_degraded = degraded }
   in
   st.st_log <- entry :: st.st_log;
-  (match st.st_recovery with
-  | None -> ()
-  | Some rv ->
-      let t0 = Unix.gettimeofday () in
-      log_enc_add st entry;
-      let s = rv.rv_store in
-      s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0));
   (match outcome with
   | Served ->
       Metrics.inc
@@ -948,9 +546,8 @@ and complete st sid (batch : Batcher.batch) ~start (entry : Orch.request_log) =
   dispatch st sid
 
 (* One control tick: drain dead/draining shards to their siblings, apply
-   the allocation controller, re-arm while the run is live, and take a
-   snapshot at the boundary (pending events then include the next tick,
-   so a restored run keeps ticking). *)
+   the allocation controller, re-arm while the run is live, and pass an
+   anchor boundary when one is due. *)
 and tick st =
   let now = Desim.now st.st_sim in
   Array.iteri
@@ -997,7 +594,7 @@ and tick st =
   (match st.st_watch with
   | Some w -> Watch.maybe_tick w ~now
   | None -> ());
-  maybe_snapshot st
+  maybe_anchor st
 
 and worker_up st sid =
   let shard = st.st_shards.(sid) in
@@ -1014,77 +611,31 @@ and perform st = function
   | Ev_spawn sid -> worker_up st sid
   | Ev_tick -> tick st
 
-(* WAL discipline: the journal record is durable before the event's
-   effects happen.  In replay mode the re-derived record must match the
-   journaled one byte for byte; when the tail runs dry the run switches
-   to live journaling (appending to the same on-disk segment the tail
-   came from). *)
-and journal st payload =
-  match st.st_rmode with
-  | R_off -> ()
-  | R_live ->
-      let rv = Option.get st.st_recovery in
-      let t0 = Unix.gettimeofday () in
-      Store.append rv.rv_store payload;
-      let s = rv.rv_store in
-      s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
-  | R_replay q -> (
-      match !q with
-      | [] ->
-          st.st_rmode <- R_live;
-          let rv = Option.get st.st_recovery in
-          Store.append rv.rv_store payload
-      | expected :: rest ->
-          if not (String.equal expected payload) then
-            raise
-              (Store.Recovery_error
-                 (Store.Replay_divergence { expected; got = payload }));
-          st.st_replayed <- st.st_replayed + 1;
-          q := rest;
-          if rest = [] then st.st_rmode <- R_live)
-
-and fire st id ev =
-  let enc =
-    match Hashtbl.find_opt st.st_pending id with
-    | Some (_, _, enc) -> enc
-    | None -> ""
-  in
-  Hashtbl.remove st.st_pending id;
-  journal st enc;
+(* WAL discipline: the journal record is durable (or replay-verified)
+   before the event's effects happen. *)
+and fire st id ~at ev =
+  (match st.st_recovery with
+  | None -> ()
+  | Some (_, rp) ->
+      timed rp (fun () ->
+          Replay.record rp (pending_payload st.st_scratch id ~at ev)));
   perform st ev
 
 and sched st ~at ev =
   let id = st.st_ev_seq in
   st.st_ev_seq <- id + 1;
-  let enc =
-    match st.st_recovery with
-    | None -> ""
-    | Some rv ->
-        let t0 = Unix.gettimeofday () in
-        let e = pending_payload st.st_scratch id ~at ev in
-        let s = rv.rv_store in
-        s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0);
-        e
-  in
-  Hashtbl.replace st.st_pending id (at, ev, enc);
-  Desim.at st.st_sim at (fun () -> fire st id ev)
+  Desim.at st.st_sim at (fun () -> fire st id ~at ev)
 
-and maybe_snapshot st =
+and maybe_anchor st =
   match st.st_recovery with
   | None -> ()
-  | Some rv ->
+  | Some (rv, rp) ->
       let now = Desim.now st.st_sim in
       if now -. st.st_last_snap >= rv.rv_snapshot_every_s then begin
         st.st_last_snap <- now;
-        match st.st_rmode with
-        | R_live ->
-            st.st_snap_index <- st.st_snap_index + 1;
-            let t0 = Unix.gettimeofday () in
-            Store.write_snapshot rv.rv_store ~index:st.st_snap_index
-              (encode_state st);
-            let s = rv.rv_store in
-            s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
-        | R_off | R_replay _ -> ()
+        st.st_boundary <- st.st_boundary + 1;
+        timed rp (fun () ->
+            Replay.boundary rp ~count:st.st_boundary ~state:(anchor_state st))
       end
 
 let instantiate_slos config tenant =
@@ -1094,8 +645,7 @@ let instantiate_slos config tenant =
     config.tenant_slos
 
 (* Build a fresh fabric — shards deployed, monitors and admission wired,
-   nothing scheduled yet.  [run] populates it with the workload;
-   [resume] overwrites it from a snapshot. *)
+   nothing scheduled yet. *)
 let mk_state ~registry config ~deploy ~tenants ~horizon ~recovery ~watch =
   if config.n_shards <= 0 then invalid_arg "Fabric.run: n_shards <= 0";
   if config.max_reroutes < 0 then invalid_arg "Fabric.run: max_reroutes < 0";
@@ -1131,14 +681,10 @@ let mk_state ~registry config ~deploy ~tenants ~horizon ~recovery ~watch =
     st_admission = admission; st_monitors = monitors; st_users = users;
     st_user_index = user_index;
     st_horizon = horizon; st_registry = registry; st_log = [];
-    st_log_enc = Buffer.create 4096;
     st_outstanding = 0; st_arrivals_pending = 0; st_next_id = 0;
     st_reroutes = 0; st_failures = Hashtbl.create 64;
-    st_recovery = recovery;
-    st_rmode = (match recovery with None -> R_off | Some _ -> R_live);
-    st_ev_seq = 0; st_scratch = Codec.writer ();
-    st_pending = Hashtbl.create 64; st_last_snap = 0.0;
-    st_snap_index = 0; st_replayed = 0; st_watch = watch }
+    st_recovery = recovery; st_ev_seq = 0; st_scratch = Codec.writer ();
+    st_last_snap = 0.0; st_boundary = 0; st_watch = watch }
 
 (* Register what the fabric exposes to a watch: the whole metrics
    registry plus live control-state gauges (queue depth, busy workers,
@@ -1235,7 +781,7 @@ let finish st =
      [resume] itself *)
   (match st.st_recovery with
   | None -> ()
-  | Some rv ->
+  | Some (rv, rp) ->
       Store.flush rv.rv_store;
       let g name v = Metrics.set (Metrics.gauge ~registry name) v in
       g "recovery_journal_records"
@@ -1244,14 +790,16 @@ let finish st =
       g "recovery_snapshots" (float_of_int rv.rv_store.Store.snapshots_written);
       g "recovery_snapshot_bytes"
         (float_of_int rv.rv_store.Store.snapshot_bytes);
-      g "recovery_replayed_events" (float_of_int st.st_replayed));
+      g "recovery_replayed_events" (float_of_int rp.Replay.replayed));
   { f_config = config; f_horizon_s = horizon; f_makespan_s = makespan;
     f_log = log; f_tenants = List.map tenant_report tenant_names;
     f_shards = Array.to_list (Array.map shard_report shards);
     f_spawned = spawned; f_retired = retired; f_reroutes = st.st_reroutes }
 
-let run ?(registry = Metrics.default) ?recovery ?watch config ~deploy ~tenants
-    ~horizon =
+(* Populate a fresh fabric with the workload and drive it to completion.
+   A fresh run and a resumed one differ only in the [Replay.t]: both
+   re-execute from t=0. *)
+let simulate ~registry ~recovery ~watch config ~deploy ~tenants ~horizon =
   let st = mk_state ~registry config ~deploy ~tenants ~horizon ~recovery ~watch in
   (match watch with Some w -> attach_watch st w | None -> ());
   (* the genesis tick is event 0, so a tick at t=0 still precedes any
@@ -1278,16 +826,14 @@ let run ?(registry = Metrics.default) ?recovery ?watch config ~deploy ~tenants
       sched st ~at:(Workload.first_arrival u) (Ev_arrival rq))
     st.st_users;
   st.st_next_id <- st.st_next_id + List.length st.st_users;
-  (* genesis snapshot: even a crash before the first tick boundary can
-     restore (and will replay the journal from t=0) *)
-  (match recovery with
-  | Some rv ->
-      let t0 = Unix.gettimeofday () in
-      Store.write_snapshot rv.rv_store ~index:0 (encode_state st);
-      let s = rv.rv_store in
-      s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
-  | None -> ());
+  (* genesis anchor, boundary 0: it also opens journal segment 0, so even
+     a crash before the first tick boundary can resume *)
+  Option.iter
+    (fun (_, rp) ->
+      timed rp (fun () -> Replay.boundary rp ~count:0 ~state:(anchor_state st)))
+    recovery;
   Desim.run st.st_sim;
+  Option.iter (fun (_, rp) -> Replay.finish rp) recovery;
   let result = finish st in
   (* one last scrape after [finish] so the end-of-run gauges reach the
      dashboard *)
@@ -1296,42 +842,26 @@ let run ?(registry = Metrics.default) ?recovery ?watch config ~deploy ~tenants
   | None -> ());
   result
 
-(* Restore from the newest valid snapshot in the store and drive the run
-   to completion: replay-verify the journal tail, then continue live.
-   The result must be byte-identical (render_log / render_slos /
-   render_summary) to the same-seed uninterrupted run. *)
+let run ?(registry = Metrics.default) ?recovery ?watch config ~deploy ~tenants
+    ~horizon =
+  let recovery =
+    Option.map (fun rv -> (rv, Replay.create rv.rv_store)) recovery
+  in
+  simulate ~registry ~recovery ~watch config ~deploy ~tenants ~horizon
+
+(* Re-execute the run from t=0, verifying it against the journal and the
+   newest valid anchor, then continue live.  The result must be
+   byte-identical (render_log / render_slos / render_summary) to the
+   same-seed uninterrupted run. *)
 let resume ?(registry = Metrics.default) ?watch ~recovery config ~deploy
     ~tenants ~horizon =
   let t0_wall = Sys.time () in
-  let st =
-    mk_state ~registry config ~deploy ~tenants ~horizon
-      ~recovery:(Some recovery) ~watch
+  let rp = Replay.resume recovery.rv_store in
+  let plan = Option.get rp.Replay.plan in
+  let result =
+    simulate ~registry ~recovery:(Some (recovery, rp)) ~watch config ~deploy
+      ~tenants ~horizon
   in
-  (match watch with Some w -> attach_watch st w | None -> ());
-  let plan = Store.plan_resume recovery.rv_store in
-  let pending =
-    try decode_state st (Codec.reader plan.Store.r_state)
-    with Codec.Decode why ->
-      raise (Store.Recovery_error (Store.Corrupt ("snapshot schema: " ^ why)))
-  in
-  st.st_snap_index <- plan.Store.r_next_snapshot_index - 1;
-  st.st_last_snap <- Desim.now st.st_sim;
-  st.st_rmode <-
-    (match plan.Store.r_tail with
-    | [] -> R_live
-    | tail -> R_replay (ref tail));
-  (* re-insert pending events ascending by id: id order is original
-     insertion order, so Desim's (time, seq) tie-breaking is preserved *)
-  List.iter
-    (fun (id, at, ev, enc) ->
-      Hashtbl.replace st.st_pending id (at, ev, enc);
-      Desim.at st.st_sim at (fun () -> fire st id ev))
-    pending;
-  Desim.run st.st_sim;
-  let result = finish st in
-  (match watch with
-  | Some w -> ignore (Watch.tick w ~now:(Desim.now st.st_sim))
-  | None -> ());
   let g name v = Metrics.set (Metrics.gauge ~registry name) v in
   g "recovery_restore_cpu_s" (Sys.time () -. t0_wall);
   g "recovery_resume_snapshot" (float_of_int plan.Store.r_index);
@@ -1344,7 +874,7 @@ let resume ?(registry = Metrics.default) ?watch ~recovery config ~deploy
         List.map
           (fun (i, e) -> (i, Store.error_to_string e))
           plan.Store.r_skipped;
-      rr_replayed = st.st_replayed;
+      rr_replayed = rp.Replay.replayed;
       rr_torn_tail = plan.Store.r_torn } )
 
 (* ---- summary accessors ---------------------------------------------------------- *)

@@ -94,23 +94,29 @@ type result = {
 (** {2 Crash recovery}
 
     With recovery enabled, the fabric write-ahead journals every event it
-    fires and snapshots its complete resumable state at control-tick
-    boundaries.  After a crash, {!resume} restores the newest valid
-    snapshot, replay-verifies the journal tail (each re-derived event is
-    byte-compared against its journaled record) and finishes the run —
-    producing a result byte-identical ({!render_log}, {!render_slos},
-    {!render_summary}) to the uninterrupted same-seed run. *)
+    fires and, at control-tick boundaries, writes a small snapshot that
+    anchors the run: the boundary count, sim time and scalar run
+    counters.  The fabric is a deterministic function of (config,
+    tenants, deploy, horizon), so it saves no other state.  After a
+    crash, {!resume} re-executes the run from t=0, byte-compares each
+    re-derived event against its journaled record and the newest valid
+    anchor against the run as it passes that boundary, then finishes live
+    — producing a result byte-identical ({!render_log}, {!render_slos},
+    {!render_summary}) to the uninterrupted same-seed run.  The replay
+    code is {!Everest_recovery.Replay}, shared with the workflow
+    executor. *)
 
 type recovery = {
   rv_store : Everest_recovery.Store.t;
   rv_snapshot_every_s : float;
-      (** Minimum simulated time between snapshots (taken at the first
-          control tick past due). *)
+      (** Minimum simulated time between anchor snapshots (taken at the
+          first control tick past due); longer than the run leaves only
+          the genesis anchor. *)
 }
 
-(** What {!resume} restored: which snapshot anchored the resume, how many
-    newer snapshots were rejected (and why), and how much journal tail
-    was replay-verified. *)
+(** What {!resume} found: which snapshot's anchor the replay checked, how
+    many newer snapshots were rejected (and why), and how many journal
+    records were replay-verified. *)
 type restore_report = {
   rr_snapshot_index : int;
   rr_fallbacks : int;
@@ -127,7 +133,7 @@ val fingerprint : config -> tenants:Workload.tenant list -> horizon:float -> str
 (** Run the workload through the fleet.  [deploy] installs kernels on
     every shard's orchestrator; [registry] receives the [serving_*]
     fabric metrics (default {!Everest_telemetry.Metrics.default}).
-    [recovery] enables journaling + snapshotting into the given store;
+    [recovery] enables journaling + anchor snapshots into the given store;
     {!Everest_recovery.Journal.Crashed} escapes if a crash was armed with
     {!Everest_recovery.Store.arm_crash}.
 
@@ -147,13 +153,14 @@ val run :
   horizon:float ->
   result
 
-(** Restore from the newest valid snapshot in [recovery.rv_store],
-    replay-verify the journal tail and finish the run.  The store must
-    have been written by {!run} under the same (config, tenants, deploy,
-    horizon).
+(** Re-execute the run in [recovery.rv_store] from t=0, replay-verifying
+    the whole journal and the newest valid anchor, and finish it live.
+    The store must have been written by {!run} under the same (config,
+    tenants, deploy, horizon).  A [watch] attached here sees the whole
+    run, as it would have without the crash.
     @raise Everest_recovery.Store.Recovery_error when no valid snapshot
-    survives, the snapshot does not match the freshly built fabric, or
-    replay diverges from the journal. *)
+    survives, the anchor is malformed, or replay diverges from the
+    journal or the anchor. *)
 val resume :
   ?registry:Everest_telemetry.Metrics.registry ->
   ?watch:Everest_watch.Watch.t ->

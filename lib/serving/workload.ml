@@ -205,9 +205,3 @@ let user_index u = u.cu_user
 let first_arrival u = u.cu_first
 let next_think u = exp_draw u.cu_rng ~rate:(1.0 /. u.cu_think_s)
 let user_features u n = u.cu_tenant.t_features n
-
-(* Checkpoint/restore: a restored run re-derives the user population via
-   [closed_users] (same seed, same order) and overwrites each think-time
-   stream position. *)
-let user_rng_state u = Rng.state u.cu_rng
-let set_user_rng_state u s = Rng.set_state u.cu_rng s

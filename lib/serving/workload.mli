@@ -96,13 +96,6 @@ val next_think : closed_user -> float
 (** Features for the user's [n]-th request. *)
 val user_features : closed_user -> int -> (string * float) list
 
-(** Think-time stream position, for checkpoint/restore: a restored run
-    re-derives the user population via {!closed_users} (same seed, same
-    order) and overwrites each stream position. *)
-val user_rng_state : closed_user -> int
-
-val set_user_rng_state : closed_user -> int -> unit
-
 (** Instantaneous arrival rate of an open-loop tenant at time [t]
     (ignoring the burst overlay); 0 for closed-loop tenants. *)
 val rate_at : tenant -> float -> float

@@ -1,134 +1,58 @@
 (* Crash-consistent checkpointing for the workflow executor.
 
    The executor is a deterministic function of (cluster, plan, faults,
-   policy), so its recovery model is journaled replay: every first
+   policy), so it restores by journaled replay, with the code shared
+   with the serving fabric ({!Everest_recovery.Replay}): every first
    completion of a task is one write-ahead record, and a restarted run
    re-executes the plan from t=0 while *verifying* each re-derived
-   completion against the journal — any divergence is a typed error, not
-   a silently different answer.  Snapshots are not restore points here
-   (there is no state to warp into a half-built Desim heap); they are
-   integrity anchors: every [every] completions the executor's resumable
-   digest — completion counts, finish times, lineage, RNG position — is
-   written, and replay byte-compares the re-derived digest when it passes
-   the same completion count.  Snapshot boundaries are also where lineage
-   is pruned, which is what bounds replica-tracking memory on long runs
-   (and, because pruning happens at the same counts in the original and
-   the replayed run, never perturbs byte-identity). *)
+   completion against the journal.  Snapshots are integrity anchors:
+   every [every] completions the executor's resumable digest —
+   completion counts, finish times, lineage, RNG position — is written,
+   and replay byte-compares the re-derived digest when it passes the same
+   completion count.  This module keeps the executor's own parts: the
+   record payload, that cadence, and lineage pruning at each boundary,
+   which bounds replica-tracking memory on long runs (and, because
+   pruning happens at the same counts in the original and the replayed
+   run, never perturbs byte-identity). *)
 
-module Store = Everest_recovery.Store
 module Codec = Everest_recovery.Codec
-
-type mode = Live | Replay of string list ref
+module Replay = Everest_recovery.Replay
 
 type t = {
-  ck_store : Store.t;
+  ck_replay : Replay.t;
   ck_every : int;
-  mutable ck_mode : mode;
   mutable ck_completions : int;
-  mutable ck_replayed : int;
-  mutable ck_next_snap : int;
-  (* integrity anchor carried by the resume plan: the digest the original
-     run wrote at [ck_anchor_count] completions *)
-  mutable ck_anchor : (int * string) option;
 }
 
-let snapshot_body ~completions state =
-  let w = Codec.writer () in
-  Codec.int w completions;
-  Codec.str w state;
-  Codec.contents w
+let make ~every open_replay =
+  if every <= 0 then invalid_arg "Checkpoint: every <= 0";
+  { ck_replay = open_replay (); ck_every = every; ck_completions = 0 }
 
-let decode_snapshot raw =
-  let r = Codec.reader raw in
-  let completions = Codec.r_int r in
-  let state = Codec.r_str r in
-  (completions, state)
-
-let create ~store ~every =
-  if every <= 0 then invalid_arg "Checkpoint.create: every <= 0";
-  { ck_store = store; ck_every = every; ck_mode = Live; ck_completions = 0;
-    ck_replayed = 0; ck_next_snap = 0; ck_anchor = None }
-
-let resume ~store ~every =
-  if every <= 0 then invalid_arg "Checkpoint.resume: every <= 0";
-  let plan = Store.plan_resume ~genesis:true store in
-  let anchor =
-    try decode_snapshot plan.Store.r_state
-    with Codec.Decode why ->
-      raise (Store.Recovery_error (Store.Corrupt ("snapshot schema: " ^ why)))
-  in
-  { ck_store = store; ck_every = every;
-    ck_mode =
-      (match plan.Store.r_tail with [] -> Live | tail -> Replay (ref tail));
-    ck_completions = 0; ck_replayed = 0;
-    ck_next_snap = plan.Store.r_next_snapshot_index;
-    ck_anchor = Some anchor }
-
-let resumed t = t.ck_anchor <> None
-let replayed t = t.ck_replayed
+let create ~store ~every = make ~every (fun () -> Replay.create store)
+let resume ~store ~every = make ~every (fun () -> Replay.resume store)
+let resumed t = t.ck_replay.Replay.plan <> None
+let replayed t = t.ck_replay.Replay.replayed
 let completions t = t.ck_completions
 
 (* Genesis: executed before the first task launches.  A fresh run anchors
    snapshot 0 at zero completions; a resumed run whose anchor *is* the
    genesis snapshot verifies the zero-state digest immediately. *)
-let start t ~state =
-  match t.ck_anchor with
-  | None ->
-      Store.write_snapshot t.ck_store ~index:0 (snapshot_body ~completions:0 (state ()));
-      t.ck_next_snap <- 1
-  | Some (0, anchor) ->
-      let got = state () in
-      if not (String.equal anchor got) then
-        raise
-          (Store.Recovery_error
-             (Store.Replay_divergence { expected = anchor; got }))
-  | Some _ -> ()
-
-let verify_anchor t =
-  match t.ck_anchor with
-  | Some (count, anchor) when count = t.ck_completions ->
-      fun got ->
-        if not (String.equal anchor got) then
-          raise
-            (Store.Recovery_error
-               (Store.Replay_divergence { expected = anchor; got }))
-  | _ -> fun _ -> ()
+let start t ~state = Replay.boundary t.ck_replay ~count:0 ~state
 
 (* One first-completion: WAL record (live) or replay verification, then,
-   at [every]-completion boundaries, prune + snapshot (live) / anchor
-   check (replay).  [state] must be a pure digest of the resumable state;
-   [prune] runs at boundaries in *both* modes so pruning never makes the
-   replayed run diverge. *)
+   at [every]-completion boundaries, prune + anchor.  [state] must be a
+   pure digest of the resumable state; [prune] runs at boundaries in
+   *both* modes so pruning never makes the replayed run diverge. *)
 let on_complete t ~task ~now ~node ~state ~prune =
-  let payload =
-    let w = Codec.writer () in
-    Codec.int w task;
-    Codec.float w now;
-    Codec.str w node;
-    Codec.contents w
-  in
-  (match t.ck_mode with
-  | Live -> Store.append t.ck_store payload
-  | Replay q -> (
-      match !q with
-      | [] ->
-          t.ck_mode <- Live;
-          Store.append t.ck_store payload
-      | expected :: rest ->
-          if not (String.equal expected payload) then
-            raise
-              (Store.Recovery_error
-                 (Store.Replay_divergence { expected; got = payload }));
-          t.ck_replayed <- t.ck_replayed + 1;
-          q := rest;
-          if rest = [] then t.ck_mode <- Live));
+  let w = Codec.writer () in
+  Codec.int w task;
+  Codec.float w now;
+  Codec.str w node;
+  Replay.record t.ck_replay (Codec.contents w);
   t.ck_completions <- t.ck_completions + 1;
   if t.ck_completions mod t.ck_every = 0 then begin
     ignore (prune () : int);
-    match t.ck_mode with
-    | Live ->
-        Store.write_snapshot t.ck_store ~index:t.ck_next_snap
-          (snapshot_body ~completions:t.ck_completions (state ()));
-        t.ck_next_snap <- t.ck_next_snap + 1
-    | Replay _ -> verify_anchor t (state ())
+    Replay.boundary t.ck_replay ~count:t.ck_completions ~state
   end
+
+let finish t = Replay.finish t.ck_replay

@@ -8,7 +8,8 @@
     [every] completions, re-checked during replay) and as the points where
     {!Everest_resilience.Lineage.prune} bounds replica-tracking memory —
     pruning happens at the same completion counts in the original and the
-    replayed run, so it never perturbs byte-identity. *)
+    replayed run, so it never perturbs byte-identity.  The replay module
+    is {!Everest_recovery.Replay}, shared with the serving fabric. *)
 
 type t
 
@@ -53,3 +54,9 @@ val on_complete :
   state:(unit -> string) ->
   prune:(unit -> int) ->
   unit
+
+(** Called by the executor once every task has completed.
+    @raise Everest_recovery.Store.Recovery_error ([Replay_divergence])
+    when a resumed run left journal records unverified or never reached
+    its snapshot anchor. *)
+val finish : t -> unit

@@ -933,6 +933,7 @@ let execute ?(failures = []) ?faults ?(policy = Policy.default)
         raise
           (execution_failed (Printf.sprintf "task %d never completed" i)))
     finish;
+  Option.iter Checkpoint.finish checkpoint;
   let makespan = Array.fold_left Float.max 0.0 finish in
   Metrics.set
     (Metrics.gauge ~registry ~labels "workflow_makespan_s")

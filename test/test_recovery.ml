@@ -4,8 +4,8 @@
    (fingerprint checks, snapshot fallback), and the headline invariant —
    a run killed at a random journal point and resumed produces reports
    byte-identical to the uninterrupted same-seed run, for both the
-   serving fabric (snapshot + tail replay) and the workflow executor
-   (journaled re-execution with snapshot anchors). *)
+   serving fabric and the workflow executor (journaled re-execution from
+   t=0 with snapshot anchors, one replay module for both). *)
 
 module Codec = Everest_recovery.Codec
 module Snapshot = Everest_recovery.Snapshot
@@ -15,6 +15,8 @@ module Fabric = Everest_serving.Fabric
 module Workload = Everest_serving.Workload
 module Faults = Everest_resilience.Faults
 module Metrics = Everest_telemetry.Metrics
+module Watch = Everest_watch.Watch
+module Rules = Everest_watch.Rules
 module Executor = Everest_workflow.Executor
 module Checkpoint = Everest_workflow.Checkpoint
 module Dag = Everest_workflow.Dag
@@ -236,34 +238,45 @@ let fabric_run ?recovery config =
     ~tenants ~horizon
 
 (* Full run with recovery on; returns the rendering and the journal size. *)
-let fabric_baseline ~dir config =
+let fabric_baseline ?(every = 0.3) ~dir config =
   let fp = Fabric.fingerprint config ~tenants ~horizon in
   let store = Store.open_store ~fresh:true ~dir ~fingerprint:fp () in
-  let recovery = { Fabric.rv_store = store; rv_snapshot_every_s = 0.3 } in
+  let recovery = { Fabric.rv_store = store; rv_snapshot_every_s = every } in
   let r = fabric_run ~recovery config in
   let records = store.Store.records_written in
   Store.close store;
   (render r, records)
 
-let fabric_crash_resume ~dir config ~after =
+(* Run with a crash armed after [after] journal records; the store is
+   left as the crash left it. *)
+let fabric_crash ?(every = 0.3) ~dir config ~after =
   let fp = Fabric.fingerprint config ~tenants ~horizon in
   let store = Store.open_store ~fresh:true ~dir ~fingerprint:fp () in
   Store.arm_crash store ~after_records:after;
-  let recovery = { Fabric.rv_store = store; rv_snapshot_every_s = 0.3 } in
+  let recovery = { Fabric.rv_store = store; rv_snapshot_every_s = every } in
   (try
      ignore (fabric_run ~recovery config);
      Alcotest.fail "armed crash did not fire"
    with Journal.Crashed -> ());
-  Store.close store;
+  Store.close store
+
+let fabric_resume ?(every = 0.3) ~dir config =
+  let fp = Fabric.fingerprint config ~tenants ~horizon in
   let store = Store.open_store ~dir ~fingerprint:fp () in
-  let recovery = { Fabric.rv_store = store; rv_snapshot_every_s = 0.3 } in
+  let recovery = { Fabric.rv_store = store; rv_snapshot_every_s = every } in
   let registry = Metrics.create_registry () in
-  let r, report =
-    Fabric.resume ~registry ~recovery config ~deploy:(Fabric.demo_deploy ())
-      ~tenants ~horizon
-  in
-  Store.close store;
-  (render r, report)
+  Fun.protect
+    ~finally:(fun () -> Store.close store)
+    (fun () ->
+      let r, report =
+        Fabric.resume ~registry ~recovery config
+          ~deploy:(Fabric.demo_deploy ()) ~tenants ~horizon
+      in
+      (render r, report))
+
+let fabric_crash_resume ?every ~dir config ~after =
+  fabric_crash ?every ~dir config ~after;
+  fabric_resume ?every ~dir config
 
 let test_fabric_journaling_is_transparent () =
   let config = fabric_config ~seed:7 in
@@ -287,17 +300,33 @@ let test_fabric_crash_resume_byte_identical () =
       checkb "no fallbacks" true (report.Fabric.rr_fallbacks = 0))
     [ 1; records / 3; records - 1 ]
 
+(* Random shard counts, anchor intervals from 0.05 s to beyond the
+   horizon (the genesis anchor is then the only one) and crash points. *)
 let prop_fabric_crash_point_irrelevant =
-  QCheck.Test.make ~count:4
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 1 1000) (int_range 1 4)
+        (frequency
+           [ (3, float_range 0.05 1.0);
+             (1, float_range (horizon +. 0.5) (4.0 *. horizon)) ])
+        (int_range 0 1_000_000))
+  in
+  let print (seed, shards, every, crash_raw) =
+    Printf.sprintf "seed=%d shards=%d every=%g crash=%d" seed shards every
+      crash_raw
+  in
+  QCheck.Test.make ~count:32
     ~name:"fabric: resume from any crash point is byte-identical"
-    QCheck.(pair (int_range 1 1000) (int_range 0 1_000_000))
-    (fun (seed, crash_raw) ->
-      let config = fabric_config ~seed in
-      let base, records = fabric_baseline ~dir:(tmp_dir "fab-qbase") config in
+    (QCheck.make ~print gen)
+    (fun (seed, shards, every, crash_raw) ->
+      let config = { (fabric_config ~seed) with Fabric.n_shards = shards } in
+      let base, records =
+        fabric_baseline ~every ~dir:(tmp_dir "fab-qbase") config
+      in
       QCheck.assume (records > 1);
       let after = 1 + (crash_raw mod (records - 1)) in
       let resumed, _ =
-        fabric_crash_resume ~dir:(tmp_dir "fab-qcrash") config ~after
+        fabric_crash_resume ~every ~dir:(tmp_dir "fab-qcrash") config ~after
       in
       String.equal base resumed)
 
@@ -361,6 +390,119 @@ let test_fabric_all_snapshots_corrupt () =
     | exception Store.Recovery_error Store.No_snapshot -> true
     | _ -> false);
   Store.close store
+
+(* Replay must stop with a typed divergence, as it does on a journal
+   mismatch, whenever the store does not describe this run: an anchor
+   whose envelope is valid but whose digest differs, an anchor at a
+   boundary the run never reaches, or journal records past the end of
+   the run. *)
+let test_fabric_replay_detects_divergence () =
+  let config = fabric_config ~seed:7 in
+  let diverges dir =
+    match fabric_resume ~dir config with
+    | exception Store.Recovery_error (Store.Replay_divergence _) -> true
+    | _ -> false
+  in
+  let _, records = fabric_baseline ~dir:(tmp_dir "fab-div-base") config in
+  List.iter
+    (fun (what, tamper) ->
+      let dir = tmp_dir "fab-div" in
+      fabric_crash ~dir config ~after:(records / 2);
+      let snap = newest_snap dir in
+      let body =
+        match Snapshot.decode (read_file snap) with
+        | Ok body -> body
+        | Error e -> Alcotest.fail (Snapshot.error_to_string e)
+      in
+      let r = Codec.reader body in
+      let count = Codec.r_int r in
+      let count, digest = tamper (count, Codec.r_str r) in
+      let w = Codec.writer () in
+      Codec.int w count;
+      Codec.str w digest;
+      write_file snap (Snapshot.encode (Codec.contents w));
+      checkb what true (diverges dir))
+    [ ("anchor digest differs", fun (c, d) -> (c, d ^ " 1"));
+      ("anchor boundary never reached", fun (c, d) -> (c + 1000, d)) ];
+  let dir = tmp_dir "fab-div-extra" in
+  ignore (fabric_baseline ~dir config);
+  let seg =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ejrnl")
+    |> List.sort compare |> List.rev |> List.hd |> Filename.concat dir
+  in
+  write_file seg (read_file seg ^ Journal.encode_record "0 extra");
+  checkb "journal left over" true (diverges dir)
+
+(* A resumed run re-executes from t=0, so a watch attached to it sees the
+   whole run: same scrape ticks, samples and alerts, and the same
+   serving counters in the registry, as the uninterrupted watched run. *)
+let test_fabric_resumed_watch_sees_whole_run () =
+  let tenants =
+    [ Workload.open_tenant ~name:"acme" ~kernel:"mm" ~rate_rps:400.0 ();
+      Workload.closed_tenant ~name:"globex" ~kernel:"mm" ~users:4
+        ~think_s:0.05 () ]
+  and horizon = 1.0 in
+  let config = fabric_config ~seed:7 in
+  let fp = Fabric.fingerprint config ~tenants ~horizon in
+  let watched ~store run =
+    let registry = Metrics.create_registry () in
+    let watch =
+      Watch.create
+        ~rules:
+          [ Rules.alert "in-flight"
+              (Rules.Last ("fabric:outstanding", []))
+              (Rules.Above 0.0) ]
+        ()
+    in
+    let recovery = { Fabric.rv_store = store; rv_snapshot_every_s = 0.2 } in
+    run ~registry ~watch ~recovery;
+    let counters =
+      List.filter_map
+        (fun (m : Metrics.metric) ->
+          match m.Metrics.value with
+          | Metrics.Counter c
+            when String.starts_with ~prefix:"serving_" m.Metrics.mname ->
+              Some (m.Metrics.mname, m.Metrics.labels, !c)
+          | _ -> None)
+        (Metrics.metrics registry)
+    in
+    (Watch.ticks watch, Watch.samples watch, Watch.alerts_total watch, counters)
+  in
+  let fabric_run ~registry ~watch ~recovery =
+    ignore
+      (Fabric.run ~registry ~watch ~recovery config
+         ~deploy:(Fabric.demo_deploy ()) ~tenants ~horizon)
+  in
+  let open_fresh dir = Store.open_store ~fresh:true ~dir ~fingerprint:fp () in
+  let base_store = open_fresh (tmp_dir "fab-watch-base") in
+  let ticks, samples, alerts, counters =
+    watched ~store:base_store fabric_run
+  in
+  let records = base_store.Store.records_written in
+  Store.close base_store;
+  let dir = tmp_dir "fab-watch-crash" in
+  let store = open_fresh dir in
+  Store.arm_crash store ~after_records:(records / 2);
+  (try
+     ignore (watched ~store fabric_run);
+     Alcotest.fail "armed crash did not fire"
+   with Journal.Crashed -> ());
+  Store.close store;
+  let store = Store.open_store ~dir ~fingerprint:fp () in
+  let ticks', samples', alerts', counters' =
+    watched ~store (fun ~registry ~watch ~recovery ->
+        ignore
+          (Fabric.resume ~registry ~watch ~recovery config
+             ~deploy:(Fabric.demo_deploy ()) ~tenants ~horizon))
+  in
+  Store.close store;
+  checkb "watch ticked" true (ticks > 1);
+  checkb "alerts fired" true (alerts > 0);
+  checki "ticks" ticks ticks';
+  checki "samples" samples samples';
+  checki "alerts_total" alerts alerts';
+  checkb "serving counters" true (counters = counters')
 
 (* ---- executor crash/restore ----------------------------------------------- *)
 
@@ -498,6 +640,10 @@ let () =
             test_fabric_falls_back_over_corrupt_snapshot;
           Alcotest.test_case "all snapshots corrupt" `Quick
             test_fabric_all_snapshots_corrupt;
+          Alcotest.test_case "replay detects divergence" `Quick
+            test_fabric_replay_detects_divergence;
+          Alcotest.test_case "resumed watch sees the whole run" `Quick
+            test_fabric_resumed_watch_sees_whole_run;
           QCheck_alcotest.to_alcotest prop_fabric_crash_point_irrelevant ] );
       ( "executor",
         [ Alcotest.test_case "crash/resume byte-identical" `Quick
