@@ -22,12 +22,38 @@
 
 module Wf = Everest_workflow
 module Sb = Wf.Scalebench
+module Json = Everest_telemetry.Json
 
 let policies = [ "round-robin"; "min-load"; "heft"; "heft-locality" ]
 let families = [ Sb.Layered; Sb.Fork_join; Sb.Ensemble ]
 
+let sample_json (s : Sb.sample) =
+  Json.Obj
+    [ ("family", Json.Str s.Sb.sb_family); ("tasks", Json.int s.Sb.sb_tasks);
+      ("policy", Json.Str s.Sb.sb_policy);
+      ("plan_wall_s", Json.Num s.Sb.sb_plan_wall_s);
+      ("tasks_per_s", Json.Num s.Sb.sb_tasks_per_s);
+      ("exec_wall_s", Json.Num s.Sb.sb_exec_wall_s);
+      ("makespan_s", Json.Num s.Sb.sb_makespan_s) ]
+
+let delta_json (d : Sb.delta_sample) =
+  Json.Obj
+    [ ("tasks", Json.int d.Sb.ds_tasks); ("dead", Json.Str d.Sb.ds_dead);
+      ("moved_frac", Json.Num d.Sb.ds_moved_frac);
+      ("full_wall_s", Json.Num d.Sb.ds_full_wall_s);
+      ("delta_wall_s", Json.Num d.Sb.ds_delta_wall_s);
+      ("full_makespan_s", Json.Num d.Sb.ds_full_makespan_s);
+      ("delta_makespan_s", Json.Num d.Sb.ds_delta_makespan_s) ]
+
+let telemetry_json (t : Sb.telemetry_sample) =
+  Json.Obj
+    [ ("tasks", Json.int t.Sb.ts_tasks); ("spans", Json.int t.Sb.ts_spans);
+      ("run_wall_s", Json.Num t.Sb.ts_run_wall_s);
+      ("report_wall_s", Json.Num t.Sb.ts_report_wall_s);
+      ("report_frac", Json.Num t.Sb.ts_report_frac) ]
+
 let () =
-  let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
+  let quick = Util.quick in
   Util.header
     (if quick then "E17: Estee-style scheduling scale sweep (quick)"
      else "E17: Estee-style scheduling scale sweep");
@@ -162,37 +188,20 @@ let () =
   in
   let passed = speedup_ok && telemetry_ok in
   let json =
-    Printf.sprintf
-      "{\n\
-      \  \"sweep\": [\n    %s\n  ],\n\
-      \  \"headroom\": [\n    %s\n  ],\n\
-      \  \"naive_baseline\": [\n    %s\n  ],\n\
-      \  \"heft_speedup_at_top_scale\": %.2f,\n\
-      \  \"delta\": [\n    %s\n  ],\n\
-      \  \"telemetry\": %s,\n\
-      \  \"quick\": %b,\n\
-      \  \"passed\": %b\n\
-       }\n"
-      (String.concat ",\n    " (List.map Sb.sample_json sweep))
-      (String.concat ",\n    " (List.map Sb.sample_json headroom))
-      (String.concat ",\n    " (List.map Sb.sample_json naive))
-      speedup
-      (String.concat ",\n    " (List.map Sb.delta_json deltas))
-      (Sb.telemetry_json tel)
-      quick passed
+    Json.Obj
+      [ ("sweep", Json.Arr (List.map sample_json sweep));
+        ("headroom", Json.Arr (List.map sample_json headroom));
+        ("naive_baseline", Json.Arr (List.map sample_json naive));
+        ("heft_speedup_at_top_scale", Json.Num speedup);
+        ("delta", Json.Arr (List.map delta_json deltas));
+        ("telemetry", telemetry_json tel); ("quick", Json.Bool quick);
+        ("passed", Json.Bool passed) ]
   in
-  let oc = open_out "BENCH_e17.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "\nwrote BENCH_e17.json\n\
-     Expected shape: planning throughput holds in the 10^5-10^6 tasks/s\n\
-     range across families and scales (the pre-PR quadratic HEFT collapses\n\
-     with n); cone repair after node death costs a small fraction of a full\n\
-     reschedule at equal makespan; and forcing the report on a ~10^6-span\n\
-     log stays under 5%% of the traced run.\n";
-  if not passed then begin
-    Printf.eprintf "E17 FAILED: speedup_ok=%b telemetry_ok=%b\n" speedup_ok
-      telemetry_ok;
-    exit 1
-  end
+  Util.write_bench ~file:"BENCH_e17.json" ~passed json
+    ~expected:
+      "Expected shape: planning throughput holds in the 10^5-10^6 tasks/s\n\
+       range across families and scales (the quadratic reference HEFT\n\
+       collapses with n); cone repair after node death costs a small\n\
+       fraction of a full reschedule at equal makespan; and forcing the\n\
+       report on a ~10^6-span log stays under 5% of the traced run.\n"
+    "E17 FAILED: speedup_ok=%b telemetry_ok=%b" speedup_ok telemetry_ok

@@ -898,47 +898,38 @@ let e12 () =
         strategy_reuse);
   (* machine-readable record for CI and EXPERIMENTS.md *)
   let json =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n";
-    Buffer.add_string buf (Printf.sprintf "  \"host_cores\": %d,\n" cores);
-    Buffer.add_string buf "  \"workload\": \"matmul-256x256-exhaustive\",\n";
-    Buffer.add_string buf "  \"cold_scaling\": [\n";
-    List.iteri
-      (fun i (d, t, s, same) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"domains\": %d, \"wall_s\": %.6f, \"speedup\": %.3f, \
-              \"pareto_identical\": %b}%s\n"
-             d t s same
-             (if i = List.length scaling - 1 then "" else ",")))
-      scaling;
-    Buffer.add_string buf "  ],\n";
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"cache\": {\"cold_s\": %.6f, \"warm_s\": %.6f, \
-          \"warm_speedup\": %.2f},\n"
-         cold_t warm_t warm_speedup);
-    Buffer.add_string buf "  \"strategy_reuse\": [\n";
-    List.iteri
-      (fun i (name, t, hits, misses, rate) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"strategy\": %S, \"wall_s\": %.6f, \"hits\": %d, \
-              \"misses\": %d, \"hit_rate\": %.3f}%s\n"
-             name t hits misses rate
-             (if i = List.length strategy_reuse - 1 then "" else ",")))
-      strategy_reuse;
-    Buffer.add_string buf "  ]\n}\n";
-    Buffer.contents buf
+    Json.Obj
+      [ ("host_cores", Json.int cores);
+        ("workload", Json.Str "matmul-256x256-exhaustive");
+        ("cold_scaling",
+         Json.Arr
+           (List.map
+              (fun (d, t, s, same) ->
+                Json.Obj
+                  [ ("domains", Json.int d); ("wall_s", Json.Num t);
+                    ("speedup", Json.Num s);
+                    ("pareto_identical", Json.Bool same) ])
+              scaling));
+        ("cache",
+         Json.Obj
+           [ ("cold_s", Json.Num cold_t); ("warm_s", Json.Num warm_t);
+             ("warm_speedup", Json.Num warm_speedup) ]);
+        ("strategy_reuse",
+         Json.Arr
+           (List.map
+              (fun (name, t, hits, misses, rate) ->
+                Json.Obj
+                  [ ("strategy", Json.Str name); ("wall_s", Json.Num t);
+                    ("hits", Json.int hits); ("misses", Json.int misses);
+                    ("hit_rate", Json.Num rate) ])
+              strategy_reuse)) ]
   in
-  let oc = open_out "BENCH_e12.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "\nwrote BENCH_e12.json\n\
-     Expected shape: near-linear cold speedup up to the core count (flat on\n\
-     a 1-core host), identical Pareto sets at every pool size, and a warm\n\
-     cache collapsing re-exploration to hash lookups (>=5x).\n"
+  write_bench ~file:"BENCH_e12.json" ~passed:true json
+    ~expected:
+      "Expected shape: near-linear cold speedup up to the core count (flat on\n\
+       a 1-core host), identical Pareto sets at every pool size, and a warm\n\
+       cache collapsing re-exploration to hash lookups (>=5x).\n"
+    ""
 
 (* ================================================================= E13 == *)
 (* everest_analysis claim: the monotone-framework analyses sweep the IR at
@@ -1066,40 +1057,32 @@ let e13 () =
           (pct t_warm_off t_warm_on)
           (time_str (t_warm_on -. t_warm_off)) ] ];
   let json =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n";
-    Buffer.add_string buf
-      (Printf.sprintf "  \"synthetic_ops\": %d,\n" nops);
-    Buffer.add_string buf "  \"analysis_throughput\": [\n";
-    List.iteri
-      (fun i (name, (per_run, ops_s)) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"analysis\": %S, \"per_run_s\": %.6f, \"ops_per_sec\": \
-              %.0f}%s\n"
-             name per_run ops_s
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf "  ],\n";
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"compile_overhead\": {\"cold_lint_off_s\": %.6f, \
-          \"cold_lint_on_s\": %.6f, \"overhead_pct\": %.2f, \
-          \"warm_lint_off_s\": %.6f, \"warm_lint_on_s\": %.6f, \
-          \"budget_pct\": 5.0}\n"
-         t_cold_off t_cold_on overhead t_warm_off t_warm_on);
-    Buffer.add_string buf "}\n";
-    Buffer.contents buf
+    Json.Obj
+      [ ("synthetic_ops", Json.int nops);
+        ("analysis_throughput",
+         Json.Arr
+           (List.map
+              (fun (name, (per_run, ops_s)) ->
+                Json.Obj
+                  [ ("analysis", Json.Str name); ("per_run_s", Json.Num per_run);
+                    ("ops_per_sec", Json.Num ops_s) ])
+              rows));
+        ("compile_overhead",
+         Json.Obj
+           [ ("cold_lint_off_s", Json.Num t_cold_off);
+             ("cold_lint_on_s", Json.Num t_cold_on);
+             ("overhead_pct", Json.Num overhead);
+             ("warm_lint_off_s", Json.Num t_warm_off);
+             ("warm_lint_on_s", Json.Num t_warm_on);
+             ("budget_pct", Json.Num 5.0) ]) ]
   in
-  let oc = open_out "BENCH_e13.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "\nwrote BENCH_e13.json\n\
-     Expected shape: every analysis sweeps the module in the millions of\n\
-     ops per second, and the pre-flight lint gate stays under the 5%%\n\
-     budget on a cold-cache compile (on a fully warm-cache recompile the\n\
-     gate's fixed tens-of-microsecond cost is the whole delta).\n"
+  write_bench ~file:"BENCH_e13.json" ~passed:true json
+    ~expected:
+      "Expected shape: every analysis sweeps the module in the millions of\n\
+       ops per second, and the pre-flight lint gate stays under the 5%\n\
+       budget on a cold-cache compile (on a fully warm-cache recompile the\n\
+       gate's fixed tens-of-microsecond cost is the whole delta).\n"
+    ""
 
 (* ================================================================= E14 == *)
 (* everest_resilience claim: under seeded chaos, the recovery policy keeps
@@ -1209,47 +1192,41 @@ let e14 () =
          f2 rate :: List.map (fun h -> Printf.sprintf "%.0f%%" (100.0 *. h)) hits)
        rows);
   let json =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n";
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"workflow\": {\"tasks\": %d, \"clean_makespan_s\": %.9g, \
-          \"clean_energy_j\": %.9g},\n"
-         n_tasks clean_ms clean_j);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"seeds_per_rate\": %d,\n" (List.length seeds));
-    Buffer.add_string buf "  \"rates\": [\n";
-    List.iteri
-      (fun i (rate, completed, avail, ms, j, re, ti, sp, rc, hits) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"fault_rate\": %g, \"runs_completed\": %d, \
-              \"availability\": %.4f, \"mean_makespan_s\": %.9g, \
-              \"makespan_overhead_pct\": %.1f, \"mean_energy_j\": %.9g, \
-              \"retries\": %d, \"timeouts\": %d, \"speculative\": %d, \
-              \"recomputed\": %d, \"slo\": {%s}}%s\n"
-             rate completed avail ms
-             (100.0 *. (ms /. clean_ms -. 1.0))
-             j re ti sp rc
-             (String.concat ", "
-                (List.map2
-                   (fun k h -> Printf.sprintf "\"%.1fx\": %.2f" k h)
-                   slos hits))
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf "  ]\n}\n";
-    Buffer.contents buf
+    Json.Obj
+      [ ("workflow",
+         Json.Obj
+           [ ("tasks", Json.int n_tasks); ("clean_makespan_s", Json.Num clean_ms);
+             ("clean_energy_j", Json.Num clean_j) ]);
+        ("seeds_per_rate", Json.int (List.length seeds));
+        ("rates",
+         Json.Arr
+           (List.map
+              (fun (rate, completed, avail, ms, j, re, ti, sp, rc, hits) ->
+                Json.Obj
+                  [ ("fault_rate", Json.Num rate);
+                    ("runs_completed", Json.int completed);
+                    ("availability", Json.Num avail);
+                    ("mean_makespan_s", Json.Num ms);
+                    ("makespan_overhead_pct",
+                     Json.Num (100.0 *. (ms /. clean_ms -. 1.0)));
+                    ("mean_energy_j", Json.Num j); ("retries", Json.int re);
+                    ("timeouts", Json.int ti); ("speculative", Json.int sp);
+                    ("recomputed", Json.int rc);
+                    ("slo",
+                     Json.Obj
+                       (List.map2
+                          (fun k h -> (Printf.sprintf "%.1fx" k, Json.Num h))
+                          slos hits)) ])
+              rows)) ]
   in
-  let oc = open_out "BENCH_e14.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "\nwrote BENCH_e14.json\n\
-     Expected shape: at fault rate 0 the overhead is exactly 0%% (the\n\
-     resilience plumbing is free when nothing fails); at 10-30%% node\n\
-     failure the workflow still completes on every seed via retries,\n\
-     speculation and lineage recomputation, with makespan overhead\n\
-     growing with the fault rate and energy tracking the re-executed work.\n"
+  write_bench ~file:"BENCH_e14.json" ~passed:true json
+    ~expected:
+      "Expected shape: at fault rate 0 the overhead is exactly 0% (the\n\
+       resilience plumbing is free when nothing fails); at 10-30% node\n\
+       failure the workflow still completes on every seed via retries,\n\
+       speculation and lineage recomputation, with makespan overhead\n\
+       growing with the fault rate and energy tracking the re-executed work.\n"
+    ""
 
 (* ================================================================= E15 == *)
 (* everest_observe claim: run analytics are pull-only and cheap — building
@@ -1333,34 +1310,25 @@ let e15 () =
     | Some u -> List.length u.Obs.Utilization.u_nodes
     | None -> 0);
   let json =
-    Printf.sprintf
-      "{\n\
-      \  \"run_s\": %.9g,\n\
-      \  \"report_s\": %.9g,\n\
-      \  \"report_pct_of_run\": %.3f,\n\
-      \  \"diff_s\": %.9g,\n\
-      \  \"spans\": %d,\n\
-      \  \"cp_steps\": %d,\n\
-      \  \"cp_duration_s\": %.9g,\n\
-      \  \"makespan_s\": %.9g,\n\
-      \  \"budget_pct\": %.1f,\n\
-      \  \"within_budget\": %b\n\
-       }\n"
-      t_run t_report report_pct t_diff report.Obs.Report.r_spans cp_steps
-      cp_dur report.Obs.Report.r_makespan_s budget_pct
-      (report_pct < budget_pct)
+    Json.Obj
+      [ ("run_s", Json.Num t_run); ("report_s", Json.Num t_report);
+        ("report_pct_of_run", Json.Num report_pct); ("diff_s", Json.Num t_diff);
+        ("spans", Json.int report.Obs.Report.r_spans);
+        ("cp_steps", Json.int cp_steps); ("cp_duration_s", Json.Num cp_dur);
+        ("makespan_s", Json.Num report.Obs.Report.r_makespan_s);
+        ("budget_pct", Json.Num budget_pct);
+        ("within_budget", Json.Bool (report_pct < budget_pct)) ]
   in
-  let oc = open_out "BENCH_e15.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "\nwrote BENCH_e15.json\n\
-     Expected shape: the analytics are pull-only, so the run itself pays\n\
-     nothing; forcing the report (span index, critical path with self/wait\n\
-     split, per-node utilization, quantiles, completion SLO) stays under\n\
-     the %.0f%%-of-run budget, and the report-vs-report diff is cheaper\n\
-     than the report itself.\n"
-    budget_pct
+  write_bench ~file:"BENCH_e15.json" ~passed:true json
+    ~expected:
+      (Printf.sprintf
+         "Expected shape: the analytics are pull-only, so the run itself pays\n\
+          nothing; forcing the report (span index, critical path with self/wait\n\
+          split, per-node utilization, quantiles, completion SLO) stays under\n\
+          the %.0f%%-of-run budget, and the report-vs-report diff is cheaper\n\
+          than the report itself.\n"
+         budget_pct)
+    ""
 
 (* everest_serving claim: the serving fabric scales — aggregate sustained
    throughput at a fixed p99 latency SLO grows from 1 to 16 shards, and
@@ -1461,53 +1429,40 @@ let e16 () =
     fr16.Srv.Fabric.f_spawned;
   let passed = scaling > 1.0 && avail16 >= 0.99 in
   let json =
-    Printf.sprintf
-      "{\n\
-      \  \"horizon_s\": %.9g,\n\
-      \  \"p99_limit_s\": %.9g,\n\
-      \  \"shards\": [%s],\n\
-      \  \"sustained_rps\": [%s],\n\
-      \  \"p99_s\": [%s],\n\
-      \  \"availability_at_20pct_faults\": [%s],\n\
-      \  \"scaling_1_to_16\": %.4f,\n\
-      \  \"availability_16_shards\": %.6f,\n\
-      \  \"passed\": %b\n\
-       }\n"
-      horizon p99_limit_s
-      (String.concat ", " (List.map string_of_int shard_counts))
-      (String.concat ", "
-         (List.map (fun n -> Printf.sprintf "%.3f" (tput n)) shard_counts))
-      (String.concat ", "
-         (List.map
-            (fun n ->
-              match List.assoc n sustained with
-              | Some (_, _, p, _) -> Printf.sprintf "%.9g" p
-              | None -> "-1")
-            shard_counts))
-      (String.concat ", "
-         (List.map
-            (fun (_, fr) -> Printf.sprintf "%.6f" (Srv.Fabric.availability fr))
-            fault_runs))
-      scaling avail16 passed
+    Json.Obj
+      [ ("horizon_s", Json.Num horizon); ("p99_limit_s", Json.Num p99_limit_s);
+        ("shards", Json.Arr (List.map Json.int shard_counts));
+        ("sustained_rps",
+         Json.Arr (List.map (fun n -> Json.Num (tput n)) shard_counts));
+        ("p99_s",
+         Json.Arr
+           (List.map
+              (fun n ->
+                match List.assoc n sustained with
+                | Some (_, _, p, _) -> Json.Num p
+                | None -> Json.Num (-1.0))
+              shard_counts));
+        ("availability_at_20pct_faults",
+         Json.Arr
+           (List.map
+              (fun (_, fr) -> Json.Num (Srv.Fabric.availability fr))
+              fault_runs));
+        ("scaling_1_to_16", Json.Num scaling);
+        ("availability_16_shards", Json.Num avail16);
+        ("passed", Json.Bool passed) ]
   in
-  let oc = open_out "BENCH_e16.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "\nwrote BENCH_e16.json\n\
-     Expected shape: one shard saturates low on the offered-load ladder;\n\
-     adding shards raises the highest rung served inside the %.0fms p99 SLO\n\
-     (>1x aggregate from 1 to 16), and the 20%% fault plan costs the fleet\n\
-     little availability because breaker-draining shards hand queued work\n\
-     to siblings and auto-allocation re-absorbs the displaced load.\n"
-    (1000.0 *. p99_limit_s);
-  if not passed then begin
-    Printf.eprintf
-      "E16 FAILED: scaling 1 -> 16 shards %.2fx (need > 1x), availability \
-       under faults %.4f (need >= 0.99)\n"
-      scaling avail16;
-    exit 1
-  end
+  write_bench ~file:"BENCH_e16.json" ~passed json
+    ~expected:
+      (Printf.sprintf
+         "Expected shape: one shard saturates low on the offered-load ladder;\n\
+          adding shards raises the highest rung served inside the %.0fms p99 SLO\n\
+          (>1x aggregate from 1 to 16), and the 20%% fault plan costs the fleet\n\
+          little availability because breaker-draining shards hand queued work\n\
+          to siblings and auto-allocation re-absorbs the displaced load.\n"
+         (1000.0 *. p99_limit_s))
+    "E16 FAILED: scaling 1 -> 16 shards %.2fx (need > 1x), availability \
+     under faults %.4f (need >= 0.99)"
+    scaling avail16
 
 (* ---- micro-benchmarks (Bechamel) ---------------------------------------------- *)
 

@@ -26,6 +26,7 @@ module Sched = Wf.Scheduler
 module Dag = Wf.Dag
 module Lint = Everest_analysis.Lint
 module Cluster = Everest_platform.Cluster
+module Json = Everest_telemetry.Json
 
 let now () = Unix.gettimeofday ()
 
@@ -42,12 +43,13 @@ type row = {
 }
 
 let row_json r =
-  Printf.sprintf
-    "{\"family\": \"%s\", \"tasks\": %d, \"heft_s\": %.6f, \"lint_s\": \
-     %.6f, \"lint_frac\": %.4f, \"reach_build_s\": %.6f, \"reach_query_per_s\": \
-     %.0f, \"chains\": %d, \"diags\": %d}"
-    r.r_family r.r_tasks r.r_heft_s r.r_lint_s r.r_frac r.r_reach_build_s
-    r.r_query_per_s r.r_chains r.r_diags
+  Json.Obj
+    [ ("family", Json.Str r.r_family); ("tasks", Json.int r.r_tasks);
+      ("heft_s", Json.Num r.r_heft_s); ("lint_s", Json.Num r.r_lint_s);
+      ("lint_frac", Json.Num r.r_frac);
+      ("reach_build_s", Json.Num r.r_reach_build_s);
+      ("reach_query_per_s", Json.Num r.r_query_per_s);
+      ("chains", Json.int r.r_chains); ("diags", Json.int r.r_diags) ]
 
 (* walls are minima over repeated runs: on a shared single-core host a
    single sample aliases GC major slices and scheduler preemption, and the
@@ -187,7 +189,7 @@ let defects_caught () =
     ("infeasible-slo", infeasible_slo) ]
 
 let () =
-  let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
+  let quick = Util.quick in
   Util.header
     (if quick then "E18: plan sanitization scale sweep (quick)"
      else "E18: plan sanitization scale sweep");
@@ -259,39 +261,23 @@ let () =
   let defects_ok = List.for_all snd defects in
   let passed = frac_ok && clean_ok && defects_ok in
   let json =
-    Printf.sprintf
-      "{\n\
-      \  \"sweep\": [\n    %s\n  ],\n\
-      \  \"lint_frac_at_top_scale\": %.4f,\n\
-      \  \"worst_family_frac_at_top_scale\": %.4f,\n\
-      \  \"frac_budget\": %.2f,\n\
-      \  \"defects\": {%s},\n\
-      \  \"quick\": %b,\n\
-      \  \"passed\": %b\n\
-       }\n"
-      (String.concat ",\n    " (List.map row_json rows))
-      agg_frac worst_frac frac_budget
-      (String.concat ", "
-         (List.map
-            (fun (name, ok) -> Printf.sprintf "\"%s\": %b" name ok)
-            defects))
-      quick passed
+    Json.Obj
+      [ ("sweep", Json.Arr (List.map row_json rows));
+        ("lint_frac_at_top_scale", Json.Num agg_frac);
+        ("worst_family_frac_at_top_scale", Json.Num worst_frac);
+        ("frac_budget", Json.Num frac_budget);
+        ("defects", Json.Obj (List.map (fun (n, ok) -> (n, Json.Bool ok)) defects));
+        ("quick", Json.Bool quick); ("passed", Json.Bool passed) ]
   in
-  let oc = open_out "BENCH_e18.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "\nwrote BENCH_e18.json\n\
-     Expected shape: linting a plan costs a few percent of producing it\n\
-     at every scale (gated <%.0f%% at %s tasks), the reachability index\n\
-     builds in O(n*chains) and answers ~10^7 queries/s, every shipped\n\
-     plan is clean, and every seeded defect class is caught.\n"
-    (100.0 *. frac_budget)
-    (Util.si (float_of_int top));
-  if not passed then begin
-    Printf.eprintf
-      "E18 FAILED: frac_ok=%b (aggregate %.3f, worst family %.3f) \
-       clean_ok=%b defects_ok=%b\n"
-      frac_ok agg_frac worst_frac clean_ok defects_ok;
-    exit 1
-  end
+  Util.write_bench ~file:"BENCH_e18.json" ~passed json
+    ~expected:
+      (Printf.sprintf
+         "Expected shape: linting a plan costs a few percent of producing it\n\
+          at every scale (gated <%.0f%% at %s tasks), the reachability index\n\
+          builds in O(n*chains) and answers ~10^7 queries/s, every shipped\n\
+          plan is clean, and every seeded defect class is caught.\n"
+         (100.0 *. frac_budget)
+         (Util.si (float_of_int top)))
+    "E18 FAILED: frac_ok=%b (aggregate %.3f, worst family %.3f) clean_ok=%b \
+     defects_ok=%b"
+    frac_ok agg_frac worst_frac clean_ok defects_ok

@@ -21,6 +21,7 @@ module Srv = Everest_serving
 module Res = Everest_resilience
 module Rec = Everest_recovery
 module Tel = Everest_telemetry
+module Json = Everest_telemetry.Json
 
 (* Measuring a 5% effect on a shared host is the hard part of this
    bench: identical back-to-back runs drift by ±15-30% in CPU time
@@ -34,12 +35,6 @@ module Tel = Everest_telemetry
    multiplier the host applied, so it cancels.  The A/B median over
    interleaved pairs is still reported per row as a sanity cross-check,
    but it carries the host noise. *)
-let now () = Sys.time ()
-
-let time_one f =
-  let t0 = now () in
-  let r = f () in
-  (now () -. t0, r)
 
 type row = {
   r_interval_s : float;
@@ -56,18 +51,20 @@ type row = {
 }
 
 let row_json r =
-  Printf.sprintf
-    "{\"snapshot_every_s\": %.3f, \"run_s\": %.6f, \"overhead_frac\": %.4f, \
-     \"ab_overhead_frac\": %.4f, \
-     \"journal_records\": %d, \"journal_kib\": %.1f, \"snapshots\": %d, \
-     \"snapshot_kib\": %.1f, \"resume_s\": %.6f, \"replayed_records\": %d, \
-     \"byte_identical\": %b}"
-    r.r_interval_s r.r_run_s r.r_overhead r.r_ab_overhead r.r_records
-    r.r_journal_kib r.r_snapshots r.r_snapshot_kib r.r_resume_s r.r_replayed
-    r.r_identical
+  Json.Obj
+    [ ("snapshot_every_s", Json.Num r.r_interval_s); ("run_s", Json.Num r.r_run_s);
+      ("overhead_frac", Json.Num r.r_overhead);
+      ("ab_overhead_frac", Json.Num r.r_ab_overhead);
+      ("journal_records", Json.int r.r_records);
+      ("journal_kib", Json.Num r.r_journal_kib);
+      ("snapshots", Json.int r.r_snapshots);
+      ("snapshot_kib", Json.Num r.r_snapshot_kib);
+      ("resume_s", Json.Num r.r_resume_s);
+      ("replayed_records", Json.int r.r_replayed);
+      ("byte_identical", Json.Bool r.r_identical) ]
 
 let () =
-  let quick = Array.exists (String.equal "--quick") Sys.argv in
+  let quick = Util.quick in
   (* Full mode runs at e16 scale: E16's headline sweep peaks at 16
      shards, and 800 req/s per shard sits on its sustained-rate ladder.
      The scale matters for the gate — balancer, batching and monitor
@@ -81,15 +78,7 @@ let () =
   let intervals = if quick then [ 0.05; 0.1 ] else [ 0.05; 0.1; 0.2; 0.5 ] in
   let seed = 19 in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "everest-bench-e19" in
-  let tenants =
-    [ Srv.Workload.open_tenant ~name:"acme" ~kernel:"mm" ~rate_rps:rate
-        ~diurnal_amplitude:0.3 ~diurnal_period_s:1.0
-        ~features:(fun seq ->
-          [ ("size", float_of_int (1024 + (64 * (seq mod 4)))) ])
-        ();
-      Srv.Workload.closed_tenant ~name:"globex" ~kernel:"mm" ~users:4
-        ~think_s:0.05 () ]
-  in
+  let tenants = Util.e16_tenants ~rate in
   let config =
     { (Srv.Fabric.default_config ~n_shards:shards) with
       Srv.Fabric.seed;
@@ -98,10 +87,6 @@ let () =
           () }
   in
   let fp = Srv.Fabric.fingerprint config ~tenants ~horizon in
-  let render r =
-    Srv.Fabric.render_log r ^ "\n" ^ Srv.Fabric.render_slos r ^ "\n"
-    ^ Srv.Fabric.render_summary r
-  in
   let run ?recovery () =
     Srv.Fabric.run ~registry:(Tel.Metrics.create_registry ()) ?recovery config
       ~deploy:(Srv.Fabric.demo_deploy ()) ~tenants ~horizon
@@ -116,7 +101,7 @@ let () =
 
   (* ---- baseline reference output (also warms the process) ---- *)
   let plain_r = run () in
-  let plain = render plain_r in
+  let plain = Util.render plain_r in
   Printf.printf "unjournaled run: %d requests\n%!"
     (List.length plain_r.Srv.Fabric.f_log);
   let global_plain = ref infinity in
@@ -136,16 +121,16 @@ let () =
         let ratios = ref [] and attrs = ref [] in
         let j_out = ref None in
         for _ = 1 to reps do
-          let tp, _ = time_one (fun () -> run ()) in
+          let tp, _ = Util.time_one (fun () -> run ()) in
           if tp < !plain_best then plain_best := tp;
           let tj, (out, work_s) =
-            time_one (fun () ->
+            Util.time_one (fun () ->
                 let store =
                   Rec.Store.open_store ~fresh:true ~dir ~fingerprint:fp ()
                 in
                 let r = run ~recovery:(recovery store) () in
                 let out =
-                  ( render r,
+                  ( Util.render r,
                     store.Rec.Store.records_written,
                     store.Rec.Store.snapshots_written,
                     store.Rec.Store.journal_bytes,
@@ -162,12 +147,8 @@ let () =
         done;
         let plain_s = !plain_best and run_s = !j_best in
         if plain_s < !global_plain then global_plain := plain_s;
-        let median xs =
-          let sorted = List.sort compare xs in
-          List.nth sorted (List.length sorted / 2)
-        in
-        let attr_frac = median !attrs in
-        let ab_ratio = median !ratios in
+        let attr_frac = Util.median !attrs in
+        let ab_ratio = Util.median !ratios in
         let journaled, records, snapshots, jbytes, sbytes =
           Option.get !j_out
         in
@@ -178,7 +159,7 @@ let () =
          with Rec.Journal.Crashed -> ());
         Rec.Store.close store;
         let resume_s, (resumed, report) =
-          time_one (fun () ->
+          Util.time_one (fun () ->
               let store = Rec.Store.open_store ~dir ~fingerprint:fp () in
               let r, rep =
                 Srv.Fabric.resume ~registry:(Tel.Metrics.create_registry ())
@@ -186,7 +167,7 @@ let () =
                   ~deploy:(Srv.Fabric.demo_deploy ()) ~tenants ~horizon
               in
               Rec.Store.close store;
-              (render r, rep))
+              (Util.render r, rep))
         in
         let identical =
           String.equal plain journaled && String.equal plain resumed
@@ -255,38 +236,24 @@ let () =
   let tail_ok = shortest.r_replayed <= longest.r_replayed in
   let passed = overhead_ok && identity_ok && tail_ok in
   let json =
-    Printf.sprintf
-      "{\n\
-      \  \"shards\": %d,\n\
-      \  \"rate_rps\": %.0f,\n\
-      \  \"horizon_s\": %.2f,\n\
-      \  \"unjournaled_s\": %.6f,\n\
-      \  \"sweep\": [\n    %s\n  ],\n\
-      \  \"steady_state_overhead_frac\": %.4f,\n\
-      \  \"overhead_budget\": %.2f,\n\
-      \  \"byte_identity\": %b,\n\
-      \  \"quick\": %b,\n\
-      \  \"passed\": %b\n\
-       }\n"
-      shards rate horizon plain_s
-      (String.concat ",\n    " (List.map row_json rows))
-      steady.r_overhead overhead_budget identity_ok quick passed
+    Json.Obj
+      [ ("shards", Json.int shards); ("rate_rps", Json.Num rate);
+        ("horizon_s", Json.Num horizon); ("unjournaled_s", Json.Num plain_s);
+        ("sweep", Json.Arr (List.map row_json rows));
+        ("steady_state_overhead_frac", Json.Num steady.r_overhead);
+        ("overhead_budget", Json.Num overhead_budget);
+        ("byte_identity", Json.Bool identity_ok); ("quick", Json.Bool quick);
+        ("passed", Json.Bool passed) ]
   in
-  let oc = open_out "BENCH_e19.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "\nwrote BENCH_e19.json\n\
-     Expected shape: journaling + snapshotting tax the fault-free run by\n\
-     a few percent (gated <%.0f%%), anchor snapshots cost under a KiB at\n\
-     every interval, resume replays the whole journal prefix (so its\n\
-     time does not fall with a shorter interval), and every resumed\n\
-     report is byte-identical to the uninterrupted same-seed run.\n"
-    (100.0 *. overhead_budget);
-  if not passed then begin
-    Printf.eprintf
-      "E19 FAILED: overhead_ok=%b (%.3f at %.3fs interval) identity_ok=%b \
-       tail_ok=%b\n"
-      overhead_ok steady.r_overhead steady.r_interval_s identity_ok tail_ok;
-    exit 1
-  end
+  Util.write_bench ~file:"BENCH_e19.json" ~passed json
+    ~expected:
+      (Printf.sprintf
+         "Expected shape: journaling + snapshotting tax the fault-free run by\n\
+          a few percent (gated <%.0f%%), anchor snapshots cost under a KiB at\n\
+          every interval, resume replays the whole journal prefix (so its\n\
+          time does not fall with a shorter interval), and every resumed\n\
+          report is byte-identical to the uninterrupted same-seed run.\n"
+         (100.0 *. overhead_budget))
+    "E19 FAILED: overhead_ok=%b (%.3f at %.3fs interval) identity_ok=%b \
+     tail_ok=%b"
+    overhead_ok steady.r_overhead steady.r_interval_s identity_ok tail_ok

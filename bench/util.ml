@@ -1,4 +1,9 @@
-(* Table printing and Bechamel wrappers shared by the experiments. *)
+(* Table printing, Bechamel wrappers and the pieces every bench driver
+   shares: the [--quick] flag, the CPU timer, BENCH-record output, and the
+   e16-scale serving fixture of the E19/E20 sweeps. *)
+
+module Json = Everest_telemetry.Json
+module Srv = Everest_serving
 
 let header title =
   Printf.printf "\n==================================================================\n";
@@ -41,6 +46,50 @@ let time_str s =
   else if s < 1e-3 then Printf.sprintf "%.1f us" (s *. 1e6)
   else if s < 1.0 then Printf.sprintf "%.2f ms" (s *. 1e3)
   else Printf.sprintf "%.2f s" s
+
+(* ---- bench drivers ------------------------------------------------------------- *)
+
+(* [--quick] selects the reduced CI sweep of a bench executable. *)
+let quick = Array.exists (String.equal "--quick") Sys.argv
+
+(* [f ()] and its CPU seconds: the clock of the attributed-overhead
+   benches. *)
+let time_one f =
+  let t0 = Sys.time () in
+  let r = f () in
+  (Sys.time () -. t0, r)
+
+let median xs =
+  let sorted = List.sort compare xs in
+  List.nth sorted (List.length sorted / 2)
+
+(* Write the BENCH record [file], print its path and the [expected]-shape
+   note; unless [passed], print the formatted verdict on stderr and exit 1. *)
+let write_bench ~file ~expected ~passed json fmt =
+  Json.write_file file json;
+  Printf.printf "\nwrote %s\n%s" file expected;
+  Printf.ksprintf
+    (fun msg ->
+      if not passed then begin
+        prerr_endline msg;
+        exit 1
+      end)
+    fmt
+
+(* The e16-scale tenant mix of the E19 and E20 sweeps: a diurnal open
+   tenant at [rate] plus four closed-loop users. *)
+let e16_tenants ~rate =
+  [ Srv.Workload.open_tenant ~name:"acme" ~kernel:"mm" ~rate_rps:rate
+      ~diurnal_amplitude:0.3 ~diurnal_period_s:1.0
+      ~features:(fun seq -> [ ("size", float_of_int (1024 + (64 * (seq mod 4)))) ])
+      ();
+    Srv.Workload.closed_tenant ~name:"globex" ~kernel:"mm" ~users:4
+      ~think_s:0.05 () ]
+
+(* The fabric output the byte-identity checks compare. *)
+let render r =
+  Srv.Fabric.render_log r ^ "\n" ^ Srv.Fabric.render_slos r ^ "\n"
+  ^ Srv.Fabric.render_summary r
 
 (* ---- Bechamel ------------------------------------------------------------------ *)
 

@@ -20,6 +20,7 @@ module Srv = Everest_serving
 module Res = Everest_resilience
 module Tel = Everest_telemetry
 module W = Everest_watch
+module Json = Everest_telemetry.Json
 
 (* Same rationale as E19: a <5% effect cannot be resolved by A/B-timing
    separate runs on a shared host (±15-30% drift), so the gated number is
@@ -27,12 +28,6 @@ module W = Everest_watch
    evaluation, sketch observes) into [Watch.work_s], and the fraction
    work/(total-work) comes out of a single run where the host's noise
    multiplier cancels. *)
-let now () = Sys.time ()
-
-let time_one f =
-  let t0 = now () in
-  let r = f () in
-  (now () -. t0, r)
 
 type row = {
   r_interval_s : float;
@@ -46,15 +41,16 @@ type row = {
 }
 
 let row_json r =
-  Printf.sprintf
-    "{\"interval_s\": %.3f, \"run_s\": %.6f, \"overhead_frac\": %.4f, \
-     \"ticks\": %d, \"series\": %d, \"sketch_samples\": %d, \
-     \"log_identical\": %b, \"dashboard_identical\": %b}"
-    r.r_interval_s r.r_run_s r.r_overhead r.r_ticks r.r_series
-    r.r_sketch_samples r.r_log_identical r.r_dash_identical
+  Json.Obj
+    [ ("interval_s", Json.Num r.r_interval_s); ("run_s", Json.Num r.r_run_s);
+      ("overhead_frac", Json.Num r.r_overhead); ("ticks", Json.int r.r_ticks);
+      ("series", Json.int r.r_series);
+      ("sketch_samples", Json.int r.r_sketch_samples);
+      ("log_identical", Json.Bool r.r_log_identical);
+      ("dashboard_identical", Json.Bool r.r_dash_identical) ]
 
 let () =
-  let quick = Array.exists (String.equal "--quick") Sys.argv in
+  let quick = Util.quick in
   (* e16 scale in full mode, for the same reason as E19: per-request
      fabric work grows with fleet size and load while a scrape tick costs
      the same, so this is the configuration the <5% budget is defined
@@ -63,17 +59,11 @@ let () =
   let rate = if quick then 2000.0 else 12800.0 in
   let horizon = if quick then 0.3 else 1.0 in
   let reps = if quick then 2 else 3 in
-  let intervals = if quick then [ 0.01; 0.05 ] else [ 0.005; 0.01; 0.02; 0.05 ] in
+  (* no interval below the fabric's 10 ms control tick: scrapes ride on
+     it, and the fabric rejects a shorter interval *)
+  let intervals = if quick then [ 0.01; 0.05 ] else [ 0.01; 0.02; 0.05 ] in
   let seed = 20 in
-  let tenants =
-    [ Srv.Workload.open_tenant ~name:"acme" ~kernel:"mm" ~rate_rps:rate
-        ~diurnal_amplitude:0.3 ~diurnal_period_s:1.0
-        ~features:(fun seq ->
-          [ ("size", float_of_int (1024 + (64 * (seq mod 4)))) ])
-        ();
-      Srv.Workload.closed_tenant ~name:"globex" ~kernel:"mm" ~users:4
-        ~think_s:0.05 () ]
-  in
+  let tenants = Util.e16_tenants ~rate in
   let config ~faults =
     { (Srv.Fabric.default_config ~n_shards:shards) with Srv.Fabric.seed; faults }
   in
@@ -89,13 +79,7 @@ let () =
         (W.Rules.Below (float_of_int n_shards)) ]
   in
   let mk_watch interval =
-    W.Watch.create
-      ~config:{ W.Watch.default_config with W.Watch.wc_interval_s = interval }
-      ~rules:(rules ~n_shards:shards ()) ()
-  in
-  let render r =
-    Srv.Fabric.render_log r ^ "\n" ^ Srv.Fabric.render_slos r ^ "\n"
-    ^ Srv.Fabric.render_summary r
+    W.Watch.create ~interval_s:interval ~rules:(rules ~n_shards:shards ()) ()
   in
   let run ?watch ?(tenants = tenants) ~faults () =
     Srv.Fabric.run ~registry:(Tel.Metrics.create_registry ()) ?watch
@@ -111,7 +95,7 @@ let () =
 
   (* ---- baseline reference output (also warms the process) ---- *)
   let plain_r = run ~faults:Res.Faults.none () in
-  let plain = render plain_r in
+  let plain = Util.render plain_r in
   Printf.printf "unwatched run: %d requests\n%!"
     (List.length plain_r.Srv.Fabric.f_log);
 
@@ -123,7 +107,7 @@ let () =
         let last = ref None in
         for _ = 1 to reps do
           let w = mk_watch interval in
-          let t, r = time_one (fun () -> run ~watch:w ~faults:Res.Faults.none ()) in
+          let t, r = Util.time_one (fun () -> run ~watch:w ~faults:Res.Faults.none ()) in
           if t < !best then best := t;
           let work = W.Watch.work_s w in
           attrs := (work /. Float.max 1e-9 (t -. work)) :: !attrs;
@@ -135,18 +119,14 @@ let () =
         let w2 = mk_watch interval in
         ignore (run ~watch:w2 ~faults:Res.Faults.none ());
         let dash w = W.Live.render w ~now:horizon ^ W.Live.render_json w ~now:horizon in
-        let median xs =
-          let sorted = List.sort compare xs in
-          List.nth sorted (List.length sorted / 2)
-        in
         let row =
           { r_interval_s = interval;
             r_run_s = !best;
-            r_overhead = median !attrs;
+            r_overhead = Util.median !attrs;
             r_ticks = W.Watch.ticks w1;
             r_series = W.Series.Store.size (W.Watch.store w1);
             r_sketch_samples = W.Watch.samples w1;
-            r_log_identical = String.equal plain (render r1);
+            r_log_identical = String.equal plain (Util.render r1);
             r_dash_identical = String.equal (dash w1) (dash w2) }
         in
         Printf.printf
@@ -193,9 +173,7 @@ let () =
            (Printf.sprintf "shard%d" (i + 1), 0.5 *. d_horizon)))
   in
   let mk_detect_watch () =
-    W.Watch.create
-      ~config:{ W.Watch.default_config with W.Watch.wc_interval_s = 0.01 }
-      ~rules:(rules ~n_shards:d_shards ()) ()
+    W.Watch.create ~interval_s:0.01 ~rules:(rules ~n_shards:d_shards ()) ()
   in
   let w_clean = mk_detect_watch () in
   detect_run ~watch:w_clean ~faults:Res.Faults.none;
@@ -251,40 +229,26 @@ let () =
   let detect_ok = clean_edges = 0 && fault_cusum > 0 in
   let passed = overhead_ok && identity_ok && detect_ok in
   let json =
-    Printf.sprintf
-      "{\n\
-      \  \"shards\": %d,\n\
-      \  \"rate_rps\": %.0f,\n\
-      \  \"horizon_s\": %.2f,\n\
-      \  \"sweep\": [\n    %s\n  ],\n\
-      \  \"densest_overhead_frac\": %.4f,\n\
-      \  \"overhead_budget\": %.2f,\n\
-      \  \"byte_identity\": %b,\n\
-      \  \"clean_alert_edges\": %d,\n\
-      \  \"cliff_cusum_edges\": %d,\n\
-      \  \"quick\": %b,\n\
-      \  \"passed\": %b\n\
-       }\n"
-      shards rate horizon
-      (String.concat ",\n    " (List.map row_json rows))
-      densest.r_overhead overhead_budget identity_ok clean_edges fault_cusum
-      quick passed
+    Json.Obj
+      [ ("shards", Json.int shards); ("rate_rps", Json.Num rate);
+        ("horizon_s", Json.Num horizon);
+        ("sweep", Json.Arr (List.map row_json rows));
+        ("densest_overhead_frac", Json.Num densest.r_overhead);
+        ("overhead_budget", Json.Num overhead_budget);
+        ("byte_identity", Json.Bool identity_ok);
+        ("clean_alert_edges", Json.int clean_edges);
+        ("cliff_cusum_edges", Json.int fault_cusum); ("quick", Json.Bool quick);
+        ("passed", Json.Bool passed) ]
   in
-  let oc = open_out "BENCH_e20.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "\nwrote BENCH_e20.json\n\
-     Expected shape: watching taxes the fault-free run by well under\n\
-     %.0f%% even at the densest scrape interval, the watched run's output\n\
-     and two watched runs' dashboards are byte-identical, the capacity\n\
-     cliff trips the CUSUM latency alert and the clean run trips nothing.\n"
-    (100.0 *. overhead_budget);
-  if not passed then begin
-    Printf.eprintf
-      "E20 FAILED: overhead_ok=%b (%.3f at %.3fs interval) identity_ok=%b \
-       detect_ok=%b (clean=%d cliff=%d)\n"
-      overhead_ok densest.r_overhead densest.r_interval_s identity_ok
-      detect_ok clean_edges fault_cusum;
-    exit 1
-  end
+  Util.write_bench ~file:"BENCH_e20.json" ~passed json
+    ~expected:
+      (Printf.sprintf
+         "Expected shape: watching taxes the fault-free run by well under\n\
+          %.0f%% even at the densest scrape interval, the watched run's output\n\
+          and two watched runs' dashboards are byte-identical, the capacity\n\
+          cliff trips the CUSUM latency alert and the clean run trips nothing.\n"
+         (100.0 *. overhead_budget))
+    "E20 FAILED: overhead_ok=%b (%.3f at %.3fs interval) identity_ok=%b \
+     detect_ok=%b (clean=%d cliff=%d)"
+    overhead_ok densest.r_overhead densest.r_interval_s identity_ok detect_ok
+    clean_edges fault_cusum

@@ -46,7 +46,14 @@
                            [--demo] [--strict] [--format text|json]
          statically sanitize execution plans (EV1xx): structure,
          happens-before, placement capability and SLO feasibility; exit 1
-         on errors, --demo seeds one defective plan per class            *)
+         on errors, --demo seeds one defective plan per class
+     everest_cli top [--seed S] [--interval T] [--follow] [--demo]
+         watch a seeded serving run and render the live dashboard; the
+         scrape interval may not be shorter than the 10 ms control tick
+
+   The drills (serve, recover, chaos, observe, top) share their options
+   and their report tail: --out FILE always writes the JSON report,
+   --format picks what stdout shows, and a failed check exits 1.      *)
 
 open Cmdliner
 module Sdk = Everest.Sdk
@@ -55,6 +62,104 @@ module TE = Everest_dsl.Tensor_expr
 module Tel = Everest_telemetry
 module EIr = Everest_ir
 module Lint = Everest_analysis.Lint
+module Json = Everest_telemetry.Json
+
+(* ---- shared options and report plumbing ------------------------------------ *)
+
+(* One definition per option the drills share; each command passes its
+   default and, where the meaning differs, its doc. *)
+let seed_arg ?(doc = "Workload seed.") default =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"S" ~doc)
+
+let shards_arg default =
+  Arg.(value & opt int default & info [ "shards" ] ~docv:"N" ~doc:"Shard count.")
+
+let rate_arg default =
+  Arg.(
+    value & opt float default
+    & info [ "rate" ] ~docv:"RPS" ~doc:"Open-loop tenant arrival rate.")
+
+let horizon_arg default =
+  Arg.(
+    value & opt float default
+    & info [ "horizon" ] ~docv:"T" ~doc:"Workload horizon in seconds.")
+
+let format_arg ?(doc = "Report format: text, json.") () =
+  Arg.(
+    value
+    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+    & info [ "format" ] ~doc)
+
+let out_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON report to FILE.")
+
+let demo_arg doc = Arg.(value & flag & info [ "demo" ] ~doc)
+
+let strict_arg =
+  Arg.(
+    value & flag
+    & info [ "strict" ] ~doc:"Promote warnings to errors (exit 1 on any warning).")
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc contents)
+
+let print_report ~format json text =
+  match format with
+  | `Json -> print_string (Json.to_string ~pretty:true json ^ "\n")
+  | `Text -> text ()
+
+(* A drill's named checks as its report's ["checks"] member. *)
+let checks_json checks ~passed =
+  Json.Obj
+    (List.map (fun (n, ok) -> (n, Json.Bool ok)) checks
+    @ [ ("passed", Json.Bool passed) ])
+
+(* The tail every drill shares: [--out FILE] receives the JSON report;
+   stdout gets it too under [--format json], otherwise [text ()], one line
+   per check and, for a named [drill], the verdict; exit 1 unless
+   [passed]. *)
+let emit ~format ~out ?(checks = []) ?drill ~passed json text =
+  Option.iter (fun f -> Json.write_file f json) out;
+  print_report ~format json (fun () ->
+      text ();
+      let width =
+        List.fold_left (fun w (n, _) -> max w (String.length n + 1)) 0 checks
+      in
+      List.iter
+        (fun (n, ok) ->
+          Printf.printf "check %-*s %s\n" width n (if ok then "ok" else "FAILED"))
+        checks;
+      Option.iter
+        (fun d ->
+          Printf.printf "%s drill %s\n" d (if passed then "passed" else "FAILED"))
+        drill);
+  if not passed then exit 1
+
+(* The single-host breaker demo of the chaos and observe drills: kernel
+   "k" (hardware variant plus software fallback) behind a breaker that
+   opens after two failures. *)
+let breaker_demo_orch ?registry () =
+  let cluster =
+    Sdk.Platform.Cluster.create [ Sdk.Platform.Cluster.power9_node "p9" ]
+  in
+  let orch = Sdk.Runtime.Orchestrator.create ?registry cluster ~host_name:"p9" in
+  Everest_serving.Fabric.demo_deploy ~kernels:[ "k" ]
+    ~breaker:
+      { Everest_resilience.Breaker.failure_threshold = 2; cooldown_s = 0.01;
+        half_open_probes = 1 }
+    () orch;
+  orch
 
 let demo_graph n =
   let g = Sdk.workflow "demo" in
@@ -187,27 +292,11 @@ let serve_cmd =
   let module Srv = Everest_serving in
   let module Res = Everest_resilience in
   let module Obs = Everest_observe in
-  let shards =
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc:"Shard count.")
-  in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Workload seed.")
-  in
   let balancer =
     Arg.(
       value & opt string "least-outstanding"
       & info [ "balancer" ] ~docv:"POLICY"
           ~doc:"Routing policy: rr, least-outstanding, affinity.")
-  in
-  let rate =
-    Arg.(
-      value & opt float 150.0
-      & info [ "rate" ] ~docv:"RPS" ~doc:"Open-loop tenant arrival rate.")
-  in
-  let horizon =
-    Arg.(
-      value & opt float 0.3
-      & info [ "horizon" ] ~docv:"T" ~doc:"Workload horizon in seconds.")
   in
   let fault_rate =
     Arg.(
@@ -215,24 +304,10 @@ let serve_cmd =
       & info [ "fault-rate" ] ~docv:"R"
           ~doc:"Per-shard crash probability over the horizon.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc:"Report format: text, json.")
-  in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON report to FILE.")
-  in
   let demo =
-    Arg.(
-      value & flag
-      & info [ "demo" ]
-          ~doc:
-            "Overload a starved single-worker fleet so requests are shed \
-             and the latency SLO burns (exits 1).")
+    demo_arg
+      "Overload a starved single-worker fleet so requests are shed and the \
+       latency SLO burns (exits 1)."
   in
   let run shards seed balancer rate horizon fault_rate format out demo =
     let balancer =
@@ -308,79 +383,53 @@ let serve_cmd =
         ("nothing_shed", shed = 0);
         ("deterministic", identical) ]
     in
-    let all_ok = List.for_all snd checks in
+    let passed = List.for_all snd checks in
     let json =
-      Obs.Json.Obj
-        [ ("shards", Obs.Json.Num (float_of_int shards));
-          ("seed", Obs.Json.Num (float_of_int seed));
+      Json.Obj
+        [ ("shards", Json.int shards); ("seed", Json.int seed);
           ("balancer",
-           Obs.Json.Str (Srv.Balancer.policy_name config.Srv.Fabric.balancer));
-          ("horizon_s", Obs.Json.Num horizon);
-          ("requests", Obs.Json.Num (float_of_int (List.length r.Srv.Fabric.f_log)));
-          ("served", Obs.Json.Num (float_of_int served));
-          ("failed", Obs.Json.Num (float_of_int (Srv.Fabric.failed r)));
-          ("shed", Obs.Json.Num (float_of_int shed));
-          ("availability", Obs.Json.Num availability);
-          ("throughput_rps", Obs.Json.Num (Srv.Fabric.throughput_rps r));
-          ("p99_latency_s", Obs.Json.Num (Srv.Fabric.latency_quantile r 0.99));
-          ("batched_requests",
-           Obs.Json.Num (float_of_int (Srv.Fabric.batched_requests r)));
-          ("workers_spawned", Obs.Json.Num (float_of_int r.Srv.Fabric.f_spawned));
-          ("workers_retired", Obs.Json.Num (float_of_int r.Srv.Fabric.f_retired));
-          ("reroutes", Obs.Json.Num (float_of_int r.Srv.Fabric.f_reroutes));
+           Json.Str (Srv.Balancer.policy_name config.Srv.Fabric.balancer));
+          ("horizon_s", Json.Num horizon);
+          ("requests", Json.int (List.length r.Srv.Fabric.f_log));
+          ("served", Json.int served);
+          ("failed", Json.int (Srv.Fabric.failed r)); ("shed", Json.int shed);
+          ("availability", Json.Num availability);
+          ("throughput_rps", Json.Num (Srv.Fabric.throughput_rps r));
+          ("p99_latency_s", Json.Num (Srv.Fabric.latency_quantile r 0.99));
+          ("batched_requests", Json.int (Srv.Fabric.batched_requests r));
+          ("workers_spawned", Json.int r.Srv.Fabric.f_spawned);
+          ("workers_retired", Json.int r.Srv.Fabric.f_retired);
+          ("reroutes", Json.int r.Srv.Fabric.f_reroutes);
           ("tenants",
-           Obs.Json.Arr
+           Json.Arr
              (List.map
                 (fun tr ->
-                  Obs.Json.Obj
-                    [ ("tenant", Obs.Json.Str tr.Srv.Fabric.tr_tenant);
-                      ("requests",
-                       Obs.Json.Num (float_of_int tr.Srv.Fabric.tr_requests));
-                      ("served",
-                       Obs.Json.Num (float_of_int tr.Srv.Fabric.tr_served));
+                  Json.Obj
+                    [ ("tenant", Json.Str tr.Srv.Fabric.tr_tenant);
+                      ("requests", Json.int tr.Srv.Fabric.tr_requests);
+                      ("served", Json.int tr.Srv.Fabric.tr_served);
                       ("shed",
-                       Obs.Json.Num
-                         (float_of_int
-                            (List.fold_left
-                               (fun acc (_, n) -> acc + n)
-                               0 tr.Srv.Fabric.tr_shed)));
-                      ("burn_alerts",
-                       Obs.Json.Num (float_of_int tr.Srv.Fabric.tr_alerts));
+                       Json.int
+                         (List.fold_left
+                            (fun acc (_, n) -> acc + n)
+                            0 tr.Srv.Fabric.tr_shed));
+                      ("burn_alerts", Json.int tr.Srv.Fabric.tr_alerts);
                       ("slos",
-                       Obs.Json.Arr
+                       Json.Arr
                          (List.map Obs.Slo.result_to_json
                             tr.Srv.Fabric.tr_slos)) ])
                 r.Srv.Fabric.f_tenants));
-          ("checks",
-           Obs.Json.Obj
-             (List.map (fun (n, ok) -> (n, Obs.Json.Bool ok)) checks
-             @ [ ("passed", Obs.Json.Bool all_ok) ])) ]
+          ("checks", checks_json checks ~passed) ]
     in
-    (match out with
-    | None -> ()
-    | Some f ->
-        let oc = open_out f in
-        output_string oc (Obs.Json.to_string ~pretty:true json);
-        output_string oc "\n";
-        close_out oc);
-    (match format with
-    | `Json -> print_string (Obs.Json.to_string ~pretty:true json ^ "\n")
-    | `Text ->
-        print_string (Srv.Fabric.render_summary r);
-        List.iter
-          (fun (n, ok) ->
-            Printf.printf "check %-14s %s\n" n (if ok then "ok" else "FAILED"))
-          checks;
-        print_string
-          (if all_ok then "serve drill passed\n" else "serve drill FAILED\n"));
-    if not all_ok then exit 1
+    emit ~format ~out ~checks ~drill:"serve" ~passed json (fun () ->
+        print_string (Srv.Fabric.render_summary r))
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serving-fleet drill: sharded multi-tenant serving with checks.")
     Term.(
-      const run $ shards $ seed $ balancer $ rate $ horizon $ fault_rate
-      $ format $ out $ demo)
+      const run $ shards_arg 2 $ seed_arg 7 $ balancer $ rate_arg 150.0
+      $ horizon_arg 0.3 $ fault_rate $ format_arg () $ out_arg $ demo)
 
 (* ---- recover ---------------------------------------------------------------- *)
 
@@ -397,25 +446,8 @@ let serve_cmd =
 let recover_cmd =
   let module Srv = Everest_serving in
   let module Res = Everest_resilience in
-  let module Obs = Everest_observe in
   let module Rec = Everest_recovery in
   let module Wf = Everest_workflow in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Workload seed.")
-  in
-  let shards =
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc:"Shard count.")
-  in
-  let rate =
-    Arg.(
-      value & opt float 150.0
-      & info [ "rate" ] ~docv:"RPS" ~doc:"Open-loop tenant arrival rate.")
-  in
-  let horizon =
-    Arg.(
-      value & opt float 0.5
-      & info [ "horizon" ] ~docv:"T" ~doc:"Workload horizon in seconds.")
-  in
   let snapshot_every =
     Arg.(
       value & opt float 0.1
@@ -434,17 +466,6 @@ let recover_cmd =
       & opt string (Filename.concat (Filename.get_temp_dir_name ()) "everest-recover")
       & info [ "dir" ] ~docv:"DIR" ~doc:"Recovery store directory.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc:"Report format: text, json.")
-  in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON report to FILE.")
-  in
   let dump_baseline =
     Arg.(
       value & opt (some string) None
@@ -458,13 +479,10 @@ let recover_cmd =
           ~doc:"Write the crash-restart-resumed report to FILE (for cmp).")
   in
   let demo =
-    Arg.(
-      value & flag
-      & info [ "demo" ]
-          ~doc:
-            "Corrupt snapshots (bit-flip, truncation, version skew); the \
-             store must detect each, fall back, and refuse an all-corrupt \
-             store with a typed error (exits 1).")
+    demo_arg
+      "Corrupt snapshots (bit-flip, truncation, version skew); the store \
+       must detect each, fall back, and refuse an all-corrupt store with a \
+       typed error (exits 1)."
   in
   let run seed shards rate horizon snapshot_every crash_after dir format out
       dump_baseline dump_resumed demo =
@@ -492,18 +510,6 @@ let recover_cmd =
     let fab_run ?recovery () =
       Srv.Fabric.run ~registry:(Tel.Metrics.create_registry ()) ?recovery
         config ~deploy:(Srv.Fabric.demo_deploy ()) ~tenants ~horizon
-    in
-    let read_file path =
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let write_file path contents =
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc contents)
     in
     (* uninterrupted journaled run: the reference report *)
     let base_store =
@@ -709,33 +715,22 @@ let recover_cmd =
         ("executor_crashed", exec_crashed);
         ("executor_byte_identical", exec_identical) ]
     in
-    let all_ok = List.for_all snd checks in
+    let passed = List.for_all snd checks in
     let json =
-      Obs.Json.Obj
-        [ ("seed", Obs.Json.Num (float_of_int seed));
-          ("horizon_s", Obs.Json.Num horizon);
-          ("snapshot_every_s", Obs.Json.Num snapshot_every);
-          ("journal_records", Obs.Json.Num (float_of_int records));
-          ("snapshots", Obs.Json.Num (float_of_int snapshots));
-          ("crash_after_record", Obs.Json.Num (float_of_int after));
-          ("resume_snapshot",
-           Obs.Json.Num (float_of_int report.Srv.Fabric.rr_snapshot_index));
-          ("replayed_records",
-           Obs.Json.Num (float_of_int report.Srv.Fabric.rr_replayed));
-          ("recovery_time_s", Obs.Json.Num recovery_s);
-          ("executor_records", Obs.Json.Num (float_of_int exec_records));
-          ("executor_crash_after", Obs.Json.Num (float_of_int exec_after));
-          ("checks",
-           Obs.Json.Obj
-             (List.map (fun (n, ok) -> (n, Obs.Json.Bool ok)) checks
-             @ [ ("passed", Obs.Json.Bool all_ok) ])) ]
+      Json.Obj
+        [ ("seed", Json.int seed); ("horizon_s", Json.Num horizon);
+          ("snapshot_every_s", Json.Num snapshot_every);
+          ("journal_records", Json.int records);
+          ("snapshots", Json.int snapshots);
+          ("crash_after_record", Json.int after);
+          ("resume_snapshot", Json.int report.Srv.Fabric.rr_snapshot_index);
+          ("replayed_records", Json.int report.Srv.Fabric.rr_replayed);
+          ("recovery_time_s", Json.Num recovery_s);
+          ("executor_records", Json.int exec_records);
+          ("executor_crash_after", Json.int exec_after);
+          ("checks", checks_json checks ~passed) ]
     in
-    (match out with
-    | None -> ()
-    | Some f -> write_file f (Obs.Json.to_string ~pretty:true json ^ "\n"));
-    (match format with
-    | `Json -> print_string (Obs.Json.to_string ~pretty:true json ^ "\n")
-    | `Text ->
+    emit ~format ~out ~checks ~drill:"recover" ~passed json (fun () ->
         Printf.printf
           "fabric: %d journal records, %d snapshots; killed after record \
            %d, resumed by replay (anchor snapshot %d, %d records verified) \
@@ -745,24 +740,16 @@ let recover_cmd =
         Printf.printf
           "executor: %d journal records; killed after record %d, replayed \
            to completion\n"
-          exec_records exec_after;
-        List.iter
-          (fun (n, ok) ->
-            Printf.printf "check %-24s %s\n" n (if ok then "ok" else "FAILED"))
-          checks;
-        print_string
-          (if all_ok then "recover drill passed\n"
-           else "recover drill FAILED\n"));
-    if not all_ok then exit 1
+          exec_records exec_after)
   in
   Cmd.v
     (Cmd.info "recover"
        ~doc:
          "Crash-recovery drill: kill mid-run, restore, byte-compare reports.")
     Term.(
-      const run $ seed $ shards $ rate $ horizon $ snapshot_every
-      $ crash_after $ dir $ format $ out $ dump_baseline $ dump_resumed
-      $ demo)
+      const run $ seed_arg 7 $ shards_arg 2 $ rate_arg 150.0 $ horizon_arg 0.5
+      $ snapshot_every $ crash_after $ dir $ format_arg () $ out_arg
+      $ dump_baseline $ dump_resumed $ demo)
 
 (* ---- hls ------------------------------------------------------------------- *)
 
@@ -977,9 +964,6 @@ let example_graphs () =
 let chaos_cmd =
   let module Res = Everest_resilience in
   let module Wf = Sdk.Workflow in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Fault-plan seed.")
-  in
   let fault_rate =
     Arg.(
       value & opt float 0.2
@@ -1016,17 +1000,6 @@ let chaos_cmd =
       value & opt int 8
       & info [ "retries" ] ~docv:"N" ~doc:"Per-task retry budget.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc:"Report format: text, json.")
-  in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the report to FILE.")
-  in
   let run seed fault_rate mean_downtime transient fpga_transient sched retries
       format out =
     let exec_policy = { Res.Policy.chaos with Res.Policy.max_retries = retries } in
@@ -1034,6 +1007,11 @@ let chaos_cmd =
       List.map
         (fun (n : Sdk.Platform.Node.t) -> n.Sdk.Platform.Node.name)
         (Sdk.Platform.Cluster.everest_demonstrator ()).Sdk.Platform.Cluster.nodes
+    in
+    let completed (s : Wf.Executor.stats) =
+      Array.fold_left
+        (fun acc f -> if f >= 0.0 then acc + 1 else acc)
+        0 s.Wf.Executor.task_finish
     in
     let drill (name, dag) =
       let _, clean = Wf.Executor.run_on_demonstrator ~policy:sched dag in
@@ -1052,11 +1030,6 @@ let chaos_cmd =
         | _, s -> Ok s
         | exception Wf.Executor.Execution_failed { reason; partial } ->
             Error (reason, partial)
-      in
-      let completed (s : Wf.Executor.stats) =
-        Array.fold_left
-          (fun acc f -> if f >= 0.0 then acc + 1 else acc)
-          0 s.Wf.Executor.task_finish
       in
       let summary = function
         | Ok (s : Wf.Executor.stats) ->
@@ -1085,32 +1058,8 @@ let chaos_cmd =
     let reports = List.map drill dags in
     (* breaker demo: the hw variant fails for a while, the breaker opens,
        requests degrade to sw, a half-open probe brings hw back *)
-    let cluster = Sdk.Platform.Cluster.create [ Sdk.Platform.Cluster.power9_node "p9" ] in
-    let orch = Sdk.Runtime.Orchestrator.create cluster ~host_name:"p9" in
-    let estimate =
-      { Everest_hls.Estimate.area = Everest_hls.Estimate.zero_area;
-        cycles = 100_000; ii = 1; clock_mhz = 250.0; dynamic_power_w = 8.0 }
-    in
-    let dk =
-      Sdk.Runtime.Orchestrator.deploy orch
-        ~breaker:
-          { Res.Breaker.failure_threshold = 2; cooldown_s = 0.01;
-            half_open_probes = 1 }
-        ~kname:"k"
-        ~impls:
-          [ ("sw", Sdk.Runtime.Orchestrator.Sw { flops = 5e8; bytes = 1e5; threads = 2 });
-            ("hw",
-             Sdk.Runtime.Orchestrator.Hw
-               { bitstream = "k"; estimate; in_bytes = 4096; out_bytes = 4096 }) ]
-        ~knowledge:
-          (Everest_autotune.Knowledge.create "k"
-             [ { Everest_autotune.Knowledge.variant = "sw"; features = [];
-                 metrics = [ ("time_s", 0.01) ] };
-               { Everest_autotune.Knowledge.variant = "hw"; features = [];
-                 metrics = [ ("time_s", 0.001) ] } ])
-        ~goal:
-          (Everest_autotune.Goal.make (Everest_autotune.Goal.Minimize "time_s"))
-    in
+    let orch = breaker_demo_orch () in
+    let dk = Sdk.Runtime.Orchestrator.find_kernel orch "k" in
     let hw_outage = 6 in
     let log =
       Sdk.Runtime.Orchestrator.serve orch ~kernel:"k" ~n:30
@@ -1130,7 +1079,7 @@ let chaos_cmd =
     in
     let degraded = Sdk.Runtime.Orchestrator.degraded_requests log in
     let availability = Sdk.Runtime.Orchestrator.availability log in
-    let all_ok =
+    let passed =
       List.for_all
         (fun (_, size, _, r, reproducible) ->
           reproducible
@@ -1140,96 +1089,70 @@ let chaos_cmd =
         reports
       && breaker_opens >= 1 && breaker_recovered && degraded >= 1
     in
-    let buf = Buffer.create 2048 in
-    (match format with
-    | `Text ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "chaos drill: seed=%d fault-rate=%g transient=%g policy=%s\n\n"
-             seed fault_rate transient sched);
+    let graph_json (name, size, clean_ms, r, reproducible) =
+      Json.Obj
+        (("graph", Json.Str name) :: ("tasks", Json.int size)
+        ::
+        (match r with
+        | Ok (s : Wf.Executor.stats) ->
+            [ ("completed", Json.int size);
+              ("clean_makespan_s", Json.Num clean_ms);
+              ("makespan_s", Json.Num s.Wf.Executor.makespan);
+              ("retries", Json.int s.Wf.Executor.retries);
+              ("timeouts", Json.int s.Wf.Executor.timeouts);
+              ("speculative", Json.int s.Wf.Executor.speculative);
+              ("recomputed", Json.int s.Wf.Executor.recomputed) ]
+        | Error (reason, p) ->
+            [ ("completed", Json.int (completed p)); ("error", Json.Str reason);
+              ("retries", Json.int p.Wf.Executor.retries) ])
+        @ [ ("reproducible", Json.Bool reproducible) ])
+    in
+    let json =
+      Json.Obj
+        [ ("seed", Json.int seed); ("fault_rate", Json.Num fault_rate);
+          ("transient_prob", Json.Num transient); ("policy", Json.Str sched);
+          ("workflows", Json.Arr (List.map graph_json reports));
+          ("breaker_demo",
+           Json.Obj
+             [ ("requests", Json.int (List.length log));
+               ("availability", Json.Num availability);
+               ("degraded", Json.int degraded); ("opens", Json.int breaker_opens);
+               ("recovered", Json.Bool breaker_recovered) ]);
+          ("passed", Json.Bool passed) ]
+    in
+    emit ~format ~out ~drill:"chaos" ~passed json (fun () ->
+        Printf.printf
+          "chaos drill: seed=%d fault-rate=%g transient=%g policy=%s\n\n" seed
+          fault_rate transient sched;
         List.iter
           (fun (name, size, clean_ms, r, reproducible) ->
             match r with
             | Ok (s : Wf.Executor.stats) ->
-                Buffer.add_string buf
-                  (Printf.sprintf
-                     "  %-10s %d/%d tasks  makespan %.4gs (clean %.4gs, \
-                      +%.0f%%)  retries=%d timeouts=%d speculative=%d \
-                      recomputed=%d  %s\n"
-                     name size size s.Wf.Executor.makespan clean_ms
-                     ((s.Wf.Executor.makespan /. clean_ms -. 1.0) *. 100.0)
-                     s.Wf.Executor.retries s.Wf.Executor.timeouts
-                     s.Wf.Executor.speculative s.Wf.Executor.recomputed
-                     (if reproducible then "reproducible"
-                      else "NON-DETERMINISTIC"))
+                Printf.printf
+                  "  %-10s %d/%d tasks  makespan %.4gs (clean %.4gs, +%.0f%%)  \
+                   retries=%d timeouts=%d speculative=%d recomputed=%d  %s\n"
+                  name size size s.Wf.Executor.makespan clean_ms
+                  ((s.Wf.Executor.makespan /. clean_ms -. 1.0) *. 100.0)
+                  s.Wf.Executor.retries s.Wf.Executor.timeouts
+                  s.Wf.Executor.speculative s.Wf.Executor.recomputed
+                  (if reproducible then "reproducible" else "NON-DETERMINISTIC")
             | Error (reason, p) ->
-                Buffer.add_string buf
-                  (Printf.sprintf
-                     "  %-10s FAILED: %s (%d tasks done, retries=%d)\n" name
-                     reason
-                     (Array.fold_left
-                        (fun acc f -> if f >= 0.0 then acc + 1 else acc)
-                        0 p.Wf.Executor.task_finish)
-                     p.Wf.Executor.retries))
+                Printf.printf "  %-10s FAILED: %s (%d tasks done, retries=%d)\n"
+                  name reason (completed p) p.Wf.Executor.retries)
           reports;
-        Buffer.add_string buf
-          (Printf.sprintf
-             "\nbreaker demo: %d requests, availability %.0f%%, %d degraded \
-              to sw, breaker opened %d time(s), %s\n"
-             (List.length log) (availability *. 100.0) degraded breaker_opens
-             (if breaker_recovered then "recovered (closed)"
-              else "NOT RECOVERED"));
-        Buffer.add_string buf
-          (if all_ok then "\nchaos drill passed\n"
-           else "\nchaos drill FAILED\n")
-    | `Json ->
-        let graph_json (name, size, clean_ms, r, reproducible) =
-          match r with
-          | Ok (s : Wf.Executor.stats) ->
-              Printf.sprintf
-                "{\"graph\": \"%s\", \"tasks\": %d, \"completed\": %d, \
-                 \"clean_makespan_s\": %.17g, \"makespan_s\": %.17g, \
-                 \"retries\": %d, \"timeouts\": %d, \"speculative\": %d, \
-                 \"recomputed\": %d, \"reproducible\": %b}"
-                name size size clean_ms s.Wf.Executor.makespan
-                s.Wf.Executor.retries s.Wf.Executor.timeouts
-                s.Wf.Executor.speculative s.Wf.Executor.recomputed reproducible
-          | Error (reason, p) ->
-              Printf.sprintf
-                "{\"graph\": \"%s\", \"tasks\": %d, \"completed\": %d, \
-                 \"error\": \"%s\", \"retries\": %d, \"reproducible\": %b}"
-                name size
-                (Array.fold_left
-                   (fun acc f -> if f >= 0.0 then acc + 1 else acc)
-                   0 p.Wf.Executor.task_finish)
-                (String.escaped reason) p.Wf.Executor.retries reproducible
-        in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"seed\": %d, \"fault_rate\": %g, \"transient_prob\": %g, \
-              \"policy\": \"%s\",\n\
-              \ \"workflows\": [%s],\n\
-              \ \"breaker_demo\": {\"requests\": %d, \"availability\": %g, \
-              \"degraded\": %d, \"opens\": %d, \"recovered\": %b},\n\
-              \ \"passed\": %b}\n"
-             seed fault_rate transient sched
-             (String.concat ", " (List.map graph_json reports))
-             (List.length log) availability degraded breaker_opens
-             breaker_recovered all_ok));
-    (match out with
-    | None -> print_string (Buffer.contents buf)
-    | Some f ->
-        let oc = open_out f in
-        Buffer.output_buffer oc buf;
-        close_out oc);
-    if not all_ok then exit 1
+        Printf.printf
+          "\nbreaker demo: %d requests, availability %.0f%%, %d degraded to \
+           sw, breaker opened %d time(s), %s\n\n"
+          (List.length log) (availability *. 100.0) degraded breaker_opens
+          (if breaker_recovered then "recovered (closed)" else "NOT RECOVERED"))
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Deterministic fault-injection drill over the example workflows.")
     Term.(
-      const run $ seed $ fault_rate $ mean_downtime $ transient
-      $ fpga_transient $ sched $ retries $ format $ out)
+      const run $ seed_arg ~doc:"Fault-plan seed." 7 $ fault_rate
+      $ mean_downtime $ transient $ fpga_transient $ sched $ retries
+      $ format_arg () $ out_arg)
 
 (* ---- lint ------------------------------------------------------------------ *)
 
@@ -1303,39 +1226,15 @@ let lint_cmd =
       value & pos_all file []
       & info [] ~docv:"FILE" ~doc:"Textual IR module to lint.")
   in
-  let demo =
-    Arg.(
-      value & flag
-      & info [ "demo" ]
-          ~doc:"Lint a module seeded with one defect per rule family.")
-  in
+  let demo = demo_arg "Lint a module seeded with one defect per rule family." in
   let examples =
     Arg.(
       value & flag
       & info [ "examples" ]
           ~doc:"Lint the lowered example workflow modules (must be clean).")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc:"Output format: text, json.")
-  in
-  let strict =
-    Arg.(
-      value & flag
-      & info [ "strict" ]
-          ~doc:"Promote warnings to errors (exit 1 on any warning).")
-  in
   let run files demo examples format strict =
     EIr.Registry.register_all ();
-    let read_file f =
-      let ic = open_in_bin f in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
     let mods =
       List.map
         (fun f ->
@@ -1363,27 +1262,26 @@ let lint_cmd =
           (name, if strict then Lint.promote_warnings ds else ds))
         mods
     in
-    (match format with
-    | `Text ->
+    print_report ~format
+      (Json.Arr
+         (List.map
+            (fun (name, ds) ->
+              Json.Obj [ ("module", Json.Str name); ("report", Lint.to_json ds) ])
+            results))
+      (fun () ->
         List.iter
           (fun (name, ds) ->
             Format.printf "== %s ==@.%s@." name (Lint.render_text ds))
-          results
-    | `Json ->
-        let items =
-          List.map
-            (fun (name, ds) ->
-              Printf.sprintf "{\"module\": \"%s\", \"report\": %s}" name
-                (String.trim (Lint.render_json ds)))
-            results
-        in
-        print_string ("[" ^ String.concat ",\n" items ^ "]\n"));
+          results);
     if List.exists (fun (_, ds) -> Lint.has_errors ds) results then exit 1
   in
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Run the static-analysis rules (EV0xx) over IR modules.")
-    Term.(const run $ files $ demo $ examples $ format $ strict)
+    Term.(
+      const run $ files $ demo $ examples
+      $ format_arg ~doc:"Output format: text, json." ()
+      $ strict_arg)
 
 (* ---- estee ----------------------------------------------------------------- *)
 
@@ -1412,9 +1310,6 @@ let estee_cmd =
           ~doc:
             "Scheduling policy (heft, heft-locality, min-load, round-robin, \
              heft-reference).")
-  in
-  let seed =
-    Arg.(value & opt int 17 & info [ "seed" ] ~docv:"S" ~doc:"Generator seed.")
   in
   let budget =
     Arg.(
@@ -1465,7 +1360,9 @@ let estee_cmd =
   Cmd.v
     (Cmd.info "estee"
        ~doc:"Scheduler scale smoke: plan a DAG family against a wall budget.")
-    Term.(const run $ tasks $ family $ policy $ seed $ budget $ execute)
+    Term.(
+      const run $ tasks $ family $ policy $ seed_arg ~doc:"Generator seed." 17
+      $ budget $ execute)
 
 (* ---- plan-lint ------------------------------------------------------------- *)
 
@@ -1490,13 +1387,10 @@ let plan_lint_cmd =
              scheduling policy (must be clean).")
   in
   let demo =
-    Arg.(
-      value & flag
-      & info [ "demo" ]
-          ~doc:
-            "Lint plans seeded with one defect per class (precedence break, \
-             off-pin, capability mismatch, slot oversubscription, \
-             infeasible SLO); exits 1.")
+    demo_arg
+      "Lint plans seeded with one defect per class (precedence break, \
+       off-pin, capability mismatch, slot oversubscription, infeasible \
+       SLO); exits 1."
   in
   let family =
     Arg.(
@@ -1518,9 +1412,6 @@ let plan_lint_cmd =
           ~doc:"Scheduling policy for --family (heft, heft-locality, \
                 min-load, round-robin).")
   in
-  let seed =
-    Arg.(value & opt int 17 & info [ "seed" ] ~docv:"S" ~doc:"Generator seed.")
-  in
   let budget =
     Arg.(
       value & opt float 0.0
@@ -1528,18 +1419,6 @@ let plan_lint_cmd =
           ~doc:
             "With --family: exit 1 if the lint pass exceeds T seconds of \
              wall time; 0 disables the check.")
-  in
-  let strict =
-    Arg.(
-      value & flag
-      & info [ "strict" ]
-          ~doc:"Promote warnings to errors (exit 1 on any warning).")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc:"Output format: text, json.")
   in
   let deadline =
     Arg.(
@@ -1711,21 +1590,17 @@ let plan_lint_cmd =
           (name, expected, ds))
         targets
     in
-    (match format with
-    | `Text ->
+    print_report ~format
+      (Json.Arr
+         (List.map
+            (fun (name, _, ds) ->
+              Json.Obj [ ("plan", Json.Str name); ("report", Lint.to_json ds) ])
+            results))
+      (fun () ->
         List.iter
           (fun (name, _, ds) ->
             Format.printf "== %s ==@.%s@." name (Lint.render_text ds))
-          results
-    | `Json ->
-        let items =
-          List.map
-            (fun (name, _, ds) ->
-              Printf.sprintf "{\"plan\": \"%s\", \"report\": %s}" name
-                (String.trim (Lint.render_json ds)))
-            results
-        in
-        print_string ("[" ^ String.concat ",\n" items ^ "]\n"));
+          results);
     (* no false negatives: every seeded defect class must be flagged with
        its expected code *)
     let missing =
@@ -1762,8 +1637,11 @@ let plan_lint_cmd =
          "Statically sanitize execution plans (EV1xx): structure, \
           happens-before, placement capability, SLO feasibility.")
     Term.(
-      const run $ examples $ demo $ family $ tasks $ policy $ seed $ budget
-      $ strict $ format $ deadline)
+      const run $ examples $ demo $ family $ tasks $ policy
+      $ seed_arg ~doc:"Generator seed." 17
+      $ budget $ strict_arg
+      $ format_arg ~doc:"Output format: text, json." ()
+      $ deadline)
 
 (* ---- observe --------------------------------------------------------------- *)
 
@@ -1778,32 +1656,15 @@ let observe_cmd =
   let module Res = Everest_resilience in
   let module Wf = Sdk.Workflow in
   let module Obs = Everest_observe in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Fault-plan seed.")
-  in
   let sched =
     Arg.(
       value & opt string "heft-locality"
       & info [ "policy" ] ~doc:"Scheduling policy for the stress workflow.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc:"Report format: text, json.")
-  in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON report to FILE.")
-  in
   let demo =
-    Arg.(
-      value & flag
-      & info [ "demo" ]
-          ~doc:
-            "Deliberately violate the availability SLO so the burn-rate \
-             alert fires (exits 1).")
+    demo_arg
+      "Deliberately violate the availability SLO so the burn-rate alert \
+       fires (exits 1)."
   in
   let diff =
     Arg.(
@@ -1820,7 +1681,7 @@ let observe_cmd =
   let run seed sched format out demo diff tolerance =
     match diff with
     | [ a; b ] ->
-        let before = Obs.Json.parse_file a and after = Obs.Json.parse_file b in
+        let before = Json.parse_file a and after = Json.parse_file b in
         let changes = Obs.Regress.diff ~tolerance ~before ~after () in
         print_string (Obs.Regress.render_text changes);
         if Obs.Regress.regressions changes <> [] then exit 1
@@ -1869,40 +1730,7 @@ let observe_cmd =
         in
         (* serving phase: hw outage early in the run; monitors watch
            availability and tail latency over simulated time *)
-        let cluster =
-          Sdk.Platform.Cluster.create [ Sdk.Platform.Cluster.power9_node "p9" ]
-        in
-        let orch =
-          Sdk.Runtime.Orchestrator.create ~registry cluster ~host_name:"p9"
-        in
-        let estimate =
-          { Everest_hls.Estimate.area = Everest_hls.Estimate.zero_area;
-            cycles = 100_000; ii = 1; clock_mhz = 250.0; dynamic_power_w = 8.0 }
-        in
-        let _ =
-          Sdk.Runtime.Orchestrator.deploy orch
-            ~breaker:
-              { Res.Breaker.failure_threshold = 2; cooldown_s = 0.01;
-                half_open_probes = 1 }
-            ~kname:"k"
-            ~impls:
-              [ ("sw",
-                 Sdk.Runtime.Orchestrator.Sw
-                   { flops = 5e8; bytes = 1e5; threads = 2 });
-                ("hw",
-                 Sdk.Runtime.Orchestrator.Hw
-                   { bitstream = "k"; estimate; in_bytes = 4096;
-                     out_bytes = 4096 }) ]
-            ~knowledge:
-              (Everest_autotune.Knowledge.create "k"
-                 [ { Everest_autotune.Knowledge.variant = "sw"; features = [];
-                     metrics = [ ("time_s", 0.01) ] };
-                   { Everest_autotune.Knowledge.variant = "hw"; features = [];
-                     metrics = [ ("time_s", 0.001) ] } ])
-            ~goal:
-              (Everest_autotune.Goal.make
-                 (Everest_autotune.Goal.Minimize "time_s"))
-        in
+        let orch = breaker_demo_orch ~registry () in
         let n_req = 30 in
         let specs =
           [ Obs.Slo.availability "requests-available" 0.9;
@@ -1938,37 +1766,26 @@ let observe_cmd =
           List.for_all (fun (r : Obs.Slo.result) -> r.Obs.Slo.met)
             (report.Obs.Report.r_slos @ serve_results)
         in
-        let all_ok = cp_ok && cp_matches && util_ok && slos_met && alerts = 0 in
+        let checks =
+          [ ("critical_path_consistent", cp_ok);
+            ("critical_path_matches_makespan", cp_matches);
+            ("utilization_consistent", util_ok); ("slos_met", slos_met) ]
+        in
+        let passed = List.for_all snd checks && alerts = 0 in
         let json =
-          Obs.Json.Obj
+          Json.Obj
             [ ("workflow", Obs.Report.to_json report);
               ("serving",
-               Obs.Json.Obj
-                 [ ("requests", Obs.Json.Num (float_of_int (List.length log)));
+               Json.Obj
+                 [ ("requests", Json.int (List.length log));
                    ("availability",
-                    Obs.Json.Num (Sdk.Runtime.Orchestrator.availability log));
+                    Json.Num (Sdk.Runtime.Orchestrator.availability log));
                    ("slos",
-                    Obs.Json.Arr
-                      (List.map Obs.Slo.result_to_json serve_results));
-                   ("burn_alerts", Obs.Json.Num (float_of_int alerts)) ]);
-              ("checks",
-               Obs.Json.Obj
-                 [ ("critical_path_consistent", Obs.Json.Bool cp_ok);
-                   ("critical_path_matches_makespan", Obs.Json.Bool cp_matches);
-                   ("utilization_consistent", Obs.Json.Bool util_ok);
-                   ("slos_met", Obs.Json.Bool slos_met);
-                   ("passed", Obs.Json.Bool all_ok) ]) ]
+                    Json.Arr (List.map Obs.Slo.result_to_json serve_results));
+                   ("burn_alerts", Json.int alerts) ]);
+              ("checks", checks_json checks ~passed) ]
         in
-        (match out with
-        | None -> ()
-        | Some f ->
-            let oc = open_out f in
-            output_string oc (Obs.Json.to_string ~pretty:true json);
-            output_string oc "\n";
-            close_out oc);
-        (match format with
-        | `Json -> print_string (Obs.Json.to_string ~pretty:true json ^ "\n")
-        | `Text ->
+        emit ~format ~out ~drill:"observe" ~passed json (fun () ->
             print_string (Obs.Report.render report);
             Printf.printf
               "serving: %d requests, availability %.0f%%, %d burn alert(s)\n"
@@ -1982,17 +1799,14 @@ let observe_cmd =
               "checks: critical-path %s (makespan match %s), utilization %s\n"
               (if cp_ok then "ok" else "FAILED")
               (if cp_matches then "ok" else "FAILED")
-              (if util_ok then "ok" else "FAILED");
-            print_string
-              (if all_ok then "observe drill passed\n"
-               else "observe drill FAILED\n"));
-        if not all_ok then exit 1
+              (if util_ok then "ok" else "FAILED"))
   in
   Cmd.v
     (Cmd.info "observe"
        ~doc:"Trace analytics: critical path, utilization and SLO verdicts.")
     Term.(
-      const run $ seed $ sched $ format $ out $ demo $ diff $ tolerance)
+      const run $ seed_arg ~doc:"Fault-plan seed." 7 $ sched $ format_arg ()
+      $ out_arg $ demo $ diff $ tolerance)
 
 (* ---- top -------------------------------------------------------------------- *)
 
@@ -2005,53 +1819,24 @@ let observe_cmd =
 let top_cmd =
   let module Srv = Everest_serving in
   let module Res = Everest_resilience in
-  let module Obs = Everest_observe in
   let module W = Everest_watch in
-  let shards =
-    Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N" ~doc:"Shard count.")
-  in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Workload seed.")
-  in
-  let rate =
-    Arg.(
-      value & opt float 400.0
-      & info [ "rate" ] ~docv:"RPS" ~doc:"Open-loop tenant arrival rate.")
-  in
-  let horizon =
-    Arg.(
-      value & opt float 0.4
-      & info [ "horizon" ] ~docv:"T" ~doc:"Workload horizon in seconds.")
-  in
   let interval =
     Arg.(
       value & opt float 0.02
-      & info [ "interval" ] ~docv:"T" ~doc:"Watch scrape interval in seconds.")
+      & info [ "interval" ] ~docv:"T"
+          ~doc:
+            "Watch scrape interval in seconds; at least the fabric's 0.01 s \
+             control tick.")
   in
   let follow =
     Arg.(
       value & flag
       & info [ "follow" ] ~doc:"Render the dashboard on every scrape tick.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc:"Dashboard format: text, json.")
-  in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the final dashboard (in the chosen format) to FILE.")
-  in
   let demo =
-    Arg.(
-      value & flag
-      & info [ "demo" ]
-          ~doc:
-            "Kill all but one shard mid-run: the latency step must trip \
-             the CUSUM alert (exits 1).")
+    demo_arg
+      "Kill all but one shard mid-run: the latency step must trip the CUSUM \
+       alert (exits 1)."
   in
   let run shards seed rate horizon interval follow format out demo =
     if shards < 1 then begin
@@ -2089,12 +1874,7 @@ let top_cmd =
           (W.Rules.Last ("fabric:alive_shards", []))
           (W.Rules.Below (float_of_int shards)) ]
     in
-    let watch =
-      W.Watch.create
-        ~config:
-          { W.Watch.default_config with W.Watch.wc_interval_s = interval }
-        ~rules ()
-    in
+    let watch = W.Watch.create ~interval_s:interval ~rules () in
     if follow then
       W.Watch.on_tick watch (fun w ~now ->
           print_string (W.Live.render w ~now);
@@ -2104,48 +1884,32 @@ let top_cmd =
         ~deploy:(Srv.Fabric.demo_deploy ()) ~tenants ~horizon
     in
     let now = horizon in
-    let dashboard =
-      match format with
-      | `Text -> W.Live.render watch ~now
-      | `Json -> W.Live.render_json watch ~now ^ "\n"
-    in
-    (match out with
-    | None -> ()
-    | Some f ->
-        let oc = open_out f in
-        output_string oc dashboard;
-        close_out oc);
-    if not follow then print_string dashboard;
-    let cusum_fired =
-      List.exists
-        (fun (a : W.Rules.alert_state) ->
-          String.equal a.W.Rules.as_name "latency-step"
-          && a.W.Rules.as_edges > 0)
-        (W.Watch.alert_states watch)
-    in
-    let served = Srv.Fabric.served_ok r in
+    let dashboard () = if not follow then print_string (W.Live.render watch ~now) in
+    let json = W.Live.to_json watch ~now in
     if demo then begin
-      Printf.printf "demo: served=%d ticks=%d latency-step alert %s\n" served
-        (W.Watch.ticks watch)
-        (if cusum_fired then "FIRED (expected)" else "did NOT fire");
+      let cusum_fired =
+        List.exists
+          (fun (a : W.Rules.alert_state) ->
+            String.equal a.W.Rules.as_name "latency-step"
+            && a.W.Rules.as_edges > 0)
+          (W.Watch.alert_states watch)
+      in
       (* like the other --demo drills: exit 1 iff the failure path ran *)
-      if cusum_fired then exit 1
+      emit ~format ~out ~passed:(not cusum_fired) json (fun () ->
+          dashboard ();
+          Printf.printf "demo: served=%d ticks=%d latency-step alert %s\n"
+            (Srv.Fabric.served_ok r) (W.Watch.ticks watch)
+            (if cusum_fired then "FIRED (expected)" else "did NOT fire"))
     end
-    else begin
+    else
       let checks =
-        [ ("served", served > 0);
+        [ ("served", Srv.Fabric.served_ok r > 0);
           ("scraped", W.Watch.ticks watch > 0);
           ("sketch_fed", W.Watch.samples watch > 0);
           ("no_false_alarms", W.Watch.alerts_total watch = 0) ]
       in
-      let all_ok = List.for_all snd checks in
-      List.iter
-        (fun (n, ok) ->
-          Printf.printf "check %-16s %s\n" n (if ok then "ok" else "FAILED"))
-        checks;
-      print_string (if all_ok then "top drill passed\n" else "top drill FAILED\n");
-      if not all_ok then exit 1
-    end
+      emit ~format ~out ~checks ~drill:"top" ~passed:(List.for_all snd checks)
+        json dashboard
   in
   Cmd.v
     (Cmd.info "top"
@@ -2153,8 +1917,10 @@ let top_cmd =
          "Live observability drill: watch a seeded serving run and render \
           the dashboard.")
     Term.(
-      const run $ shards $ seed $ rate $ horizon $ interval $ follow $ format
-      $ out $ demo)
+      const run $ shards_arg 4 $ seed_arg 7 $ rate_arg 400.0 $ horizon_arg 0.4
+      $ interval $ follow
+      $ format_arg ~doc:"Dashboard format: text, json." ()
+      $ out_arg $ demo)
 
 let () =
   let doc = "EVEREST SDK: compile, run and adapt HPDA applications." in

@@ -323,34 +323,18 @@ let render_text ds =
   in
   String.concat "\n" (lines @ [ summary ])
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Everest_telemetry.Json
 
-let render_json ds =
+let to_json ds =
   let diag d =
-    Printf.sprintf
-      "    {\"code\": \"%s\", \"severity\": \"%s\", \"func\": \"%s\", \
-       \"op\": \"%s\", \"message\": \"%s\", \"loc\": \"%s\"}"
-      (json_escape d.code)
-      (severity_name d.severity)
-      (json_escape d.in_func) (json_escape d.op_name) (json_escape d.message)
-      (json_escape (Loc.to_string d.loc))
+    Json.Obj
+      [ ("code", Json.Str d.code);
+        ("severity", Json.Str (severity_name d.severity));
+        ("func", Json.Str d.in_func); ("op", Json.Str d.op_name);
+        ("message", Json.Str d.message);
+        ("loc", Json.Str (Loc.to_string d.loc)) ]
   in
-  Printf.sprintf
-    "{\n  \"diagnostics\": [\n%s\n  ],\n  \"errors\": %d,\n  \"warnings\": \
-     %d\n}\n"
-    (String.concat ",\n" (List.map diag ds))
-    (List.length (errors ds))
-    (List.length (warnings ds))
+  Json.Obj
+    [ ("diagnostics", Json.Arr (List.map diag ds));
+      ("errors", Json.Num (float_of_int (List.length (errors ds))));
+      ("warnings", Json.Num (float_of_int (List.length (warnings ds)))) ]

@@ -79,4 +79,4 @@ val pp_diag : Format.formatter -> diag -> unit
 val render_text : diag list -> string
 
 (** JSON object with a [diagnostics] array and error/warning counts. *)
-val render_json : diag list -> string
+val to_json : diag list -> Everest_telemetry.Json.t

@@ -800,6 +800,15 @@ let finish st =
    A fresh run and a resumed one differ only in the [Replay.t]: both
    re-execute from t=0. *)
 let simulate ~registry ~recovery ~watch config ~deploy ~tenants ~horizon =
+  (* scrapes ride on the control tick, so a shorter interval could only
+     be clamped to the tick: refuse it instead *)
+  (match watch with
+  | Some w when Watch.interval_s w < config.autoscale.Autoscale.tick_s ->
+      invalid_arg
+        (Printf.sprintf
+           "Fabric: watch interval %gs is below the %gs control tick"
+           (Watch.interval_s w) config.autoscale.Autoscale.tick_s)
+  | _ -> ());
   let st = mk_state ~registry config ~deploy ~tenants ~horizon ~recovery ~watch in
   (match watch with Some w -> attach_watch st w | None -> ());
   (* the genesis tick is event 0, so a tick at t=0 still precedes any

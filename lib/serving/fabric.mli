@@ -142,7 +142,10 @@ val fingerprint : config -> tenants:Workload.tenant list -> horizon:float -> str
     outstanding) are scraped on control ticks, per-request latencies feed
     its ["latency"] windowed sketch, and a final scrape follows the run.
     Watching never schedules events or feeds back, so a watched run is
-    byte-identical to the unwatched same-seed run. *)
+    byte-identical to the unwatched same-seed run.
+    @raise Invalid_argument when the watch's scrape interval is shorter
+    than the control tick ([config.autoscale.tick_s]), which it could
+    not honour. *)
 val run :
   ?registry:Everest_telemetry.Metrics.registry ->
   ?recovery:recovery ->
@@ -157,7 +160,8 @@ val run :
     the whole journal and the newest valid anchor, and finish it live.
     The store must have been written by {!run} under the same (config,
     tenants, deploy, horizon).  A [watch] attached here sees the whole
-    run, as it would have without the crash.
+    run, as it would have without the crash; its interval is checked as
+    in {!run}.
     @raise Everest_recovery.Store.Recovery_error when no valid snapshot
     survives, the anchor is malformed, or replay diverges from the
     journal or the anchor. *)

@@ -9,36 +9,11 @@
    Span tracks map to Chrome thread ids and named tracks become thread_name
    metadata events, so executor traces show one lane per platform node. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%g" f
-
-let attr_json (k, v) =
-  let value =
-    match (v : Trace.attr_value) with
-    | Trace.S s -> Printf.sprintf "\"%s\"" (escape s)
-    | Trace.I i -> string_of_int i
-    | Trace.F f -> json_float f
-    | Trace.B b -> if b then "true" else "false"
-  in
-  Printf.sprintf "\"%s\":%s" (escape k) value
+let attr_json : Trace.attr_value -> Json.t = function
+  | Trace.S s -> Json.Str s
+  | Trace.I i -> Json.int i
+  | Trace.F f -> Json.Num f
+  | Trace.B b -> Json.Bool b
 
 let span_json ~pid (s : Trace.span) =
   let us t = t *. 1e6 in
@@ -52,47 +27,28 @@ let span_json ~pid (s : Trace.span) =
          (List.fold_left
             (fun (acc, seen) (k, v) ->
               if List.mem_assoc k seen then (acc, seen)
-              else ((k, v) :: acc, (k, ()) :: seen))
+              else ((k, attr_json v) :: acc, (k, ()) :: seen))
             ([], [ ("parent", ()) ])
             s.Trace.attrs))
   in
-  let args =
-    ("parent",
-     match s.Trace.parent with
-     | Some p -> string_of_int p
-     | None -> "-1")
-    :: List.map (fun (k, (v : Trace.attr_value)) ->
-           ( k,
-             match v with
-             | Trace.S str -> Printf.sprintf "\"%s\"" (escape str)
-             | Trace.I i -> string_of_int i
-             | Trace.F f -> json_float f
-             | Trace.B b -> if b then "true" else "false" ))
-         attrs
-  in
-  let args_s =
-    String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) v) args)
-  in
-  Printf.sprintf
-    "{\"name\":\"%s\",\"cat\":\"everest\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\
-     \"pid\":%d,\"tid\":%d,\"args\":{%s}}"
-    (escape s.Trace.name)
-    (json_float (us s.Trace.start_s))
-    (json_float (us (Trace.duration s)))
-    pid s.Trace.track args_s
+  let parent = match s.Trace.parent with Some p -> p | None -> -1 in
+  Json.Obj
+    [ ("name", Json.Str s.Trace.name); ("cat", Json.Str "everest");
+      ("ph", Json.Str "X");
+      ("ts", Json.Num (us s.Trace.start_s));
+      ("dur", Json.Num (us (Trace.duration s)));
+      ("pid", Json.int pid);
+      ("tid", Json.int s.Trace.track);
+      ("args", Json.Obj (("parent", Json.int parent) :: attrs)) ]
 
-let thread_name_json ~pid track name =
-  Printf.sprintf
-    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\
-     \"args\":{\"name\":\"%s\"}}"
-    pid track (escape name)
-
-let process_name_json ~pid name =
-  Printf.sprintf
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\
-     \"args\":{\"name\":\"%s\"}}"
-    pid (escape name)
+let meta_json ~pid ?tid name value =
+  Json.Obj
+    ([ ("name", Json.Str name); ("ph", Json.Str "M");
+       ("pid", Json.int pid) ]
+    @ (match tid with
+      | Some t -> [ ("tid", Json.int t) ]
+      | None -> [])
+    @ [ ("args", Json.Obj [ ("name", Json.Str value) ]) ])
 
 (* A Chrome-trace process: one tracer's spans (or a bare span log) under a
    pid, with named tracks as threads.  Multiple clock domains — wall-clock
@@ -112,14 +68,14 @@ let of_tracer ?(pid = 1) ?(process_name = "everest") t =
 let of_spans ?(pid = 1) ?(process_name = "everest") ?(tracks = []) spans =
   { pid; pname = process_name; tracks; proc_spans = spans }
 
-(* Only finished spans are exported. *)
+(* Only finished spans are exported; one event per line. *)
 let processes_to_string procs =
   let events =
     List.concat_map
       (fun p ->
-        process_name_json ~pid:p.pid p.pname
+        meta_json ~pid:p.pid "process_name" p.pname
         :: List.map
-             (fun (track, n) -> thread_name_json ~pid:p.pid track n)
+             (fun (track, n) -> meta_json ~pid:p.pid ~tid:track "thread_name" n)
              p.tracks
         @ List.filter_map
             (fun s ->
@@ -127,9 +83,8 @@ let processes_to_string procs =
             p.proc_spans)
       procs
   in
-  Printf.sprintf
-    "{\"traceEvents\":[%s],\"displayTimeUnit\":\"ms\"}"
-    (String.concat ",\n" events)
+  Printf.sprintf "{\"traceEvents\":[%s],\"displayTimeUnit\":\"ms\"}"
+    (String.concat ",\n" (List.map Json.to_string events))
 
 let to_string ?pid ?process_name t =
   processes_to_string [ of_tracer ?pid ?process_name t ]

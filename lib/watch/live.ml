@@ -6,9 +6,10 @@
    sparkline ramp is plain ASCII — so two same-seed runs (or a run and
    its resume) render byte-identical dashboards, which is exactly what
    the CI byte-identity check diffs.  [render] is the text form shown by
-   [everest_cli top]; [to_json] is the machine form behind [--json]. *)
+   [everest_cli top]; [to_json] is the machine form behind its
+   [--format json] and [--out]. *)
 
-module Json = Everest_observe.Json
+module Json = Everest_telemetry.Json
 
 let ramp = " .:-=+*#%@"
 

@@ -12,7 +12,7 @@ val sparkline : ?width:int -> Series.t -> string
 (** The text dashboard shown by [everest_cli top]. *)
 val render : ?spark_width:int -> ?quantiles:float list -> Watch.t -> now:float -> string
 
-val to_json : ?quantiles:float list -> Watch.t -> now:float -> Everest_observe.Json.t
+val to_json : ?quantiles:float list -> Watch.t -> now:float -> Everest_telemetry.Json.t
 
 (** [to_json] pretty-printed. *)
 val render_json : ?quantiles:float list -> Watch.t -> now:float -> string

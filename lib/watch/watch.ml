@@ -14,21 +14,18 @@
    overhead from a single run the way the recovery layer does — the
    noise multiplier of the host cancels in work/(total-work). *)
 
-type config = {
-  wc_interval_s : float;  (* scrape cadence on the watched clock *)
-  wc_capacity : int;  (* ring points per tier *)
-  wc_tiers : int;
-  wc_factor : int;  (* resolution step between tiers *)
-  wc_sketch_bucket_s : float;  (* windowed-sketch time bucket *)
-  wc_sketch_slots : int;
-}
-
-let default_config =
-  { wc_interval_s = 0.01; wc_capacity = 256; wc_tiers = 3; wc_factor = 10;
-    wc_sketch_bucket_s = 0.05; wc_sketch_slots = 20 }
+(* Scrape cadence default, and the storage shape every watch shares:
+   ring points per series tier, tier count, resolution step between
+   tiers, and the windowed-sketch bucket and slot count. *)
+let default_interval_s = 0.01
+let capacity = 256
+let tiers = 3
+let factor = 10
+let sketch_bucket_s = 0.05
+let sketch_slots = 20
 
 type t = {
-  w_config : config;
+  w_interval_s : float;  (* scrape cadence on the watched clock *)
   w_store : Series.Store.t;
   w_sketches : (string * (string * string) list, Sketch.Windowed.t) Hashtbl.t;
   mutable w_sketch_keys : (string * (string * string) list) list;
@@ -42,12 +39,11 @@ type t = {
   mutable w_on_tick : (t -> now:float -> unit) option;
 }
 
-let create ?(config = default_config) ?(rules = []) () =
-  if config.wc_interval_s <= 0.0 then invalid_arg "Watch.create: interval <= 0";
-  { w_config = config;
+let create ?(interval_s = default_interval_s) ?(rules = []) () =
+  if interval_s <= 0.0 then invalid_arg "Watch.create: interval <= 0";
+  { w_interval_s = interval_s;
     w_store =
-      Series.Store.create ~capacity:config.wc_capacity ~tiers:config.wc_tiers
-        ~factor:config.wc_factor ~res_s:config.wc_interval_s ();
+      Series.Store.create ~capacity ~tiers ~factor ~res_s:interval_s ();
     w_sketches = Hashtbl.create 16;
     w_sketch_keys = [];
     w_rules = Rules.engine rules;
@@ -60,11 +56,10 @@ let create ?(config = default_config) ?(rules = []) () =
 
 let store w = w.w_store
 let rules w = w.w_rules
-let config w = w.w_config
 let ticks w = w.w_ticks
 let samples w = w.w_samples
 let work_s w = w.w_work_s
-let interval_s w = w.w_config.wc_interval_s
+let interval_s w = w.w_interval_s
 
 (* Replace-by-name: re-attaching a watch (e.g. a second [execute] run
    over the same registry) swaps the source instead of double-sampling. *)
@@ -86,8 +81,7 @@ let sketch w ~name ~labels =
   | Some wd -> wd
   | None ->
       let wd =
-        Sketch.Windowed.create ~bucket_s:w.w_config.wc_sketch_bucket_s
-          ~slots:w.w_config.wc_sketch_slots ()
+        Sketch.Windowed.create ~bucket_s:sketch_bucket_s ~slots:sketch_slots ()
       in
       Hashtbl.replace w.w_sketches key wd;
       w.w_sketch_keys <- w.w_sketch_keys @ [ key ];
@@ -138,7 +132,7 @@ let tick w ~now =
 let maybe_tick w ~now =
   if
     Float.is_nan w.w_last_tick
-    || now -. w.w_last_tick >= w.w_config.wc_interval_s -. 1e-12
+    || now -. w.w_last_tick >= w.w_interval_s -. 1e-12
   then ignore (tick w ~now)
 
 let alerts_total w = Rules.edges_total w.w_rules

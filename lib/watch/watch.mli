@@ -7,23 +7,14 @@
     schedules events or draws randomness — which is why a watched run
     stays byte-identical to the unwatched same-seed run. *)
 
-type config = {
-  wc_interval_s : float;  (** Scrape cadence on the watched clock. *)
-  wc_capacity : int;  (** Ring points per series tier. *)
-  wc_tiers : int;
-  wc_factor : int;  (** Resolution step between tiers. *)
-  wc_sketch_bucket_s : float;  (** Windowed-sketch time bucket. *)
-  wc_sketch_slots : int;
-}
-
-val default_config : config
-
 type t
 
-val create : ?config:config -> ?rules:Rules.rule list -> unit -> t
+(** [interval_s] is the scrape cadence on the watched clock (default
+    0.01 s); ring sizes and sketch windows are fixed.
+    @raise Invalid_argument when [interval_s <= 0]. *)
+val create : ?interval_s:float -> ?rules:Rules.rule list -> unit -> t
 val store : t -> Series.Store.t
 val rules : t -> Rules.t
-val config : t -> config
 val interval_s : t -> float
 
 (** Scrape ticks performed. *)

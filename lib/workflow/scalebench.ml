@@ -191,26 +191,3 @@ let run_telemetry ?(seed = 17) ?(repeats = 3) ~tasks () =
     ts_run_wall_s = run_wall;
     ts_report_wall_s = report_wall;
     ts_report_frac = report_wall /. run_wall }
-
-(* ---- JSON rendering -------------------------------------------------------------- *)
-
-let sample_json s =
-  Printf.sprintf
-    "{\"family\": %S, \"tasks\": %d, \"policy\": %S, \"plan_wall_s\": %.6f, \
-     \"tasks_per_s\": %.1f, \"exec_wall_s\": %.6f, \"makespan_s\": %.6f}"
-    s.sb_family s.sb_tasks s.sb_policy s.sb_plan_wall_s s.sb_tasks_per_s
-    s.sb_exec_wall_s s.sb_makespan_s
-
-let delta_json d =
-  Printf.sprintf
-    "{\"tasks\": %d, \"dead\": %S, \"moved_frac\": %.4f, \"full_wall_s\": \
-     %.6f, \"delta_wall_s\": %.6f, \"full_makespan_s\": %.6f, \
-     \"delta_makespan_s\": %.6f}"
-    d.ds_tasks d.ds_dead d.ds_moved_frac d.ds_full_wall_s d.ds_delta_wall_s
-    d.ds_full_makespan_s d.ds_delta_makespan_s
-
-let telemetry_json t =
-  Printf.sprintf
-    "{\"tasks\": %d, \"spans\": %d, \"run_wall_s\": %.6f, \"report_wall_s\": \
-     %.6f, \"report_frac\": %.6f}"
-    t.ts_tasks t.ts_spans t.ts_run_wall_s t.ts_report_wall_s t.ts_report_frac

@@ -65,9 +65,3 @@ type telemetry_sample = {
     estimator for deterministic replay on a shared machine. *)
 val run_telemetry :
   ?seed:int -> ?repeats:int -> tasks:int -> unit -> telemetry_sample
-
-(** One-line JSON objects for the BENCH_e17.json emitter. *)
-val sample_json : sample -> string
-
-val delta_json : delta_sample -> string
-val telemetry_json : telemetry_sample -> string

@@ -494,6 +494,42 @@ let test_shard_draining_on_open_breaker () =
        ~max_attempts:2 ());
   checkb "draining with open breaker" true (Shard.draining shard)
 
+(* The watch scrape rides on the 10 ms control tick, so a shorter
+   interval used to be clamped to the tick without a word: run and
+   resume now refuse it, while an interval equal to the tick is fine. *)
+let test_fabric_rejects_sub_tick_watch () =
+  let module Watch = Everest_watch.Watch in
+  let module Store = Everest_recovery.Store in
+  let config = { (Fabric.default_config ~n_shards:1) with Fabric.seed = 3 } in
+  let tenants = [ acme ~rate:100.0 () ] and horizon = 0.1 in
+  let run ?watch ?recovery () =
+    Fabric.run ~registry:(Metrics.create_registry ()) ?watch ?recovery config
+      ~deploy:(Fabric.demo_deploy ()) ~tenants ~horizon
+  in
+  let sub_tick () = Watch.create ~interval_s:0.005 () in
+  let rejects f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  checkb "run rejects a sub-tick interval" true
+    (rejects (fun () -> run ~watch:(sub_tick ()) ()));
+  let w = Watch.create ~interval_s:0.01 () in
+  ignore (run ~watch:w ());
+  checkb "an interval equal to the tick scrapes" true (Watch.ticks w > 0);
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "everest-serving-subtick"
+  in
+  let fp = Fabric.fingerprint config ~tenants ~horizon in
+  let recovery store = { Fabric.rv_store = store; rv_snapshot_every_s = 0.05 } in
+  let store = Store.open_store ~fresh:true ~dir ~fingerprint:fp () in
+  ignore (run ~recovery:(recovery store) ());
+  Store.close store;
+  let store = Store.open_store ~dir ~fingerprint:fp () in
+  checkb "resume rejects a sub-tick interval" true
+    (rejects (fun () ->
+         Fabric.resume ~watch:(sub_tick ()) ~recovery:(recovery store) config
+           ~deploy:(Fabric.demo_deploy ()) ~tenants ~horizon));
+  Store.close store
+
 let () =
   Alcotest.run "everest_serving"
     [ ( "workload",
@@ -545,4 +581,6 @@ let () =
             test_fabric_sheds_when_everything_is_down;
           Alcotest.test_case "open breaker drains the shard" `Quick
             test_shard_draining_on_open_breaker;
+          Alcotest.test_case "rejects a sub-tick watch interval" `Quick
+            test_fabric_rejects_sub_tick_watch;
           QCheck_alcotest.to_alcotest prop_same_seed_identical ] ) ]

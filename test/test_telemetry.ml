@@ -194,128 +194,6 @@ let test_render_formats () =
 
 (* ---- chrome trace JSON well-formedness ----------------------------------------- *)
 
-(* A minimal JSON reader: enough to verify the exporter emits valid JSON
-   with the trace-event structure, without a json dependency. *)
-module Json = struct
-  type t =
-    | Null | Bool of bool | Num of float | Str of string
-    | Arr of t list | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail m = raise (Bad (Printf.sprintf "%s at %d" m !pos)) in
-    let peek () = if !pos < n then s.[!pos] else '\000' in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      if !pos < n && (peek () = ' ' || peek () = '\n' || peek () = '\t'
-                      || peek () = '\r')
-      then (advance (); skip_ws ())
-    in
-    let expect c =
-      if peek () = c then advance () else fail (Printf.sprintf "expected %c" c)
-    in
-    let literal lit v =
-      if !pos + String.length lit <= n
-         && String.sub s !pos (String.length lit) = lit
-      then (pos := !pos + String.length lit; v)
-      else fail ("expected " ^ lit)
-    in
-    let string_ () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string"
-        else
-          match peek () with
-          | '"' -> advance ()
-          | '\\' ->
-              advance ();
-              (match peek () with
-              | '"' -> Buffer.add_char b '"'; advance ()
-              | '\\' -> Buffer.add_char b '\\'; advance ()
-              | '/' -> Buffer.add_char b '/'; advance ()
-              | 'n' -> Buffer.add_char b '\n'; advance ()
-              | 't' -> Buffer.add_char b '\t'; advance ()
-              | 'r' -> Buffer.add_char b '\r'; advance ()
-              | 'b' | 'f' -> advance ()
-              | 'u' ->
-                  advance ();
-                  for _ = 1 to 4 do
-                    (match peek () with
-                    | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> advance ()
-                    | _ -> fail "bad \\u escape")
-                  done
-              | _ -> fail "bad escape");
-              go ()
-          | c -> Buffer.add_char b c; advance (); go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let number () =
-      let start = !pos in
-      let num_char c =
-        (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e'
-        || c = 'E'
-      in
-      while !pos < n && num_char (peek ()) do advance () done;
-      if !pos = start then fail "expected number";
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "bad number"
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = '}' then (advance (); Obj [])
-          else
-            let rec members acc =
-              skip_ws ();
-              let k = string_ () in
-              skip_ws ();
-              expect ':';
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | ',' -> advance (); members ((k, v) :: acc)
-              | '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-              | _ -> fail "expected , or }"
-            in
-            members []
-      | '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = ']' then (advance (); Arr [])
-          else
-            let rec elements acc =
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | ',' -> advance (); elements (v :: acc)
-              | ']' -> advance (); Arr (List.rev (v :: acc))
-              | _ -> fail "expected , or ]"
-            in
-            elements []
-      | '"' -> Str (string_ ())
-      | 't' -> literal "true" (Bool true)
-      | 'f' -> literal "false" (Bool false)
-      | 'n' -> literal "null" Null
-      | _ -> Num (number ())
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-end
-
 let test_chrome_trace_wellformed () =
   let clk = Clock.manual () in
   let t = Trace.create ~clock:(Clock.of_manual clk) () in
@@ -332,7 +210,7 @@ let test_chrome_trace_wellformed () =
   let parsed =
     match Json.parse js with
     | v -> v
-    | exception Json.Bad m -> Alcotest.failf "invalid JSON: %s" m
+    | exception Json.Parse_error m -> Alcotest.failf "invalid JSON: %s" m
   in
   let events =
     match Json.member "traceEvents" parsed with
@@ -366,7 +244,40 @@ let test_chrome_trace_wellformed () =
         | _ -> []
       in
       checki "only process metadata" 1 (List.length evs)
-  | exception Json.Bad m -> Alcotest.failf "invalid JSON: %s" m)
+  | exception Json.Parse_error m -> Alcotest.failf "invalid JSON: %s" m)
+
+(* Timestamps keep full precision: two wall-clock spans 178 ms apart
+   near 1.79e9 s (epoch seconds today) export distinct [ts] values, and a
+   simulated span at 1.2345678 s keeps its sub-10-us digits. *)
+let test_chrome_trace_timestamp_precision () =
+  let clk = Clock.manual ~start:1.79222e9 () in
+  let t = Trace.create ~clock:(Clock.of_manual clk) () in
+  Trace.with_span t "first" (fun _ -> Clock.advance clk 0.05);
+  Clock.advance clk 0.128;
+  Trace.with_span t "second" (fun _ -> Clock.advance clk 0.05);
+  let clk2 = Clock.manual ~start:1.2345678 () in
+  let t2 = Trace.create ~clock:(Clock.of_manual clk2) () in
+  Trace.with_span t2 "sim" (fun _ -> Clock.advance clk2 0.001);
+  let ts_of js =
+    match Json.member "traceEvents" (Json.parse js) with
+    | Some (Json.Arr evs) ->
+        List.filter_map
+          (fun e ->
+            if Json.member "ph" e = Some (Json.Str "X") then
+              Json.num_member "ts" e
+            else None)
+          evs
+    | _ -> Alcotest.fail "traceEvents missing"
+  in
+  (match ts_of (Chrome_trace.to_string t) with
+  | [ a; b ] ->
+      checkb "distinct wall-clock ts" true (a <> b);
+      checkb "178 ms apart" true (Float.abs (b -. a -. 178_000.0) < 1.0)
+  | _ -> Alcotest.fail "expected two spans");
+  match ts_of (Chrome_trace.to_string t2) with
+  | [ ts ] ->
+      checkb "sim ts round-trips" true (Float.abs (ts -. 1234567.8) < 1e-3)
+  | _ -> Alcotest.fail "expected one span"
 
 (* ---- executor: trace/stats agreement ------------------------------------------- *)
 
@@ -591,7 +502,7 @@ let test_chrome_trace_dedupes_args () =
   let parsed =
     match Json.parse js with
     | v -> v
-    | exception Json.Bad m -> Alcotest.failf "invalid JSON: %s" m
+    | exception Json.Parse_error m -> Alcotest.failf "invalid JSON: %s" m
   in
   let args =
     match Json.member "traceEvents" parsed with
@@ -771,7 +682,9 @@ let () =
           Alcotest.test_case "render formats" `Quick test_render_formats ] );
       ( "chrome-trace",
         [ Alcotest.test_case "well-formed JSON" `Quick
-            test_chrome_trace_wellformed ] );
+            test_chrome_trace_wellformed;
+          Alcotest.test_case "timestamp precision" `Quick
+            test_chrome_trace_timestamp_precision ] );
       ( "executor",
         [ Alcotest.test_case "trace agrees with stats" `Quick
             test_executor_trace_agrees_with_stats;

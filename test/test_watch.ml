@@ -374,7 +374,7 @@ let test_watch_scrape_and_alert () =
   let g = Metrics.gauge ~registry:r "depth" in
   let w =
     Watch.create
-      ~config:{ Watch.default_config with Watch.wc_interval_s = 0.1 }
+      ~interval_s:0.1
       ~rules:[ Rules.alert "deep" (Rules.Last ("depth", [])) (Rules.Above 5.0) ]
       ()
   in
@@ -417,9 +417,9 @@ let test_dashboard_deterministic () =
   checkb "sketch visible" true
     (Astring.String.is_infix ~affix:"lat{" t1);
   (* json parses back *)
-  let parsed = Everest_observe.Json.parse j1 in
+  let parsed = Everest_telemetry.Json.parse j1 in
   checkb "json roundtrips" true
-    (Everest_observe.Json.member "series" parsed <> None)
+    (Everest_telemetry.Json.member "series" parsed <> None)
 
 let () =
   Alcotest.run "everest_watch"
