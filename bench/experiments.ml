@@ -314,12 +314,12 @@ let e4 () =
     rows;
   (* monitors: detection and false positives *)
   Printf.printf "\nanomaly monitors (trained on 500 clean samples, then 200 clean + 50 attacks):\n\n";
-  let rng = Everest_ml.Rng.create 99 in
+  let rng = Everest_parallel.Rng.create 99 in
   let mon_row name train check inject =
     train ();
     let fp = ref 0 in
     for _ = 1 to 200 do
-      if check (Everest_ml.Rng.gaussian ~mu:10.0 ~sigma:1.0 rng) then incr fp
+      if check (Everest_parallel.Rng.gaussian ~mu:10.0 ~sigma:1.0 rng) then incr fp
     done;
     let tp = ref 0 in
     for _ = 1 to 50 do
@@ -336,20 +336,20 @@ let e4 () =
         (fun () ->
           for _ = 1 to 500 do
             Sec.Monitor.timing_train timing
-              (Everest_ml.Rng.gaussian ~mu:10.0 ~sigma:1.0 rng)
+              (Everest_parallel.Rng.gaussian ~mu:10.0 ~sigma:1.0 rng)
           done;
           Sec.Monitor.timing_finalize timing)
         (fun x -> Sec.Monitor.timing_check timing x <> Sec.Monitor.Normal)
-        (fun () -> 10.0 +. Everest_ml.Rng.uniform rng 8.0 20.0);
+        (fun () -> 10.0 +. Everest_parallel.Rng.uniform rng 8.0 20.0);
       mon_row "range"
         (fun () ->
           for _ = 1 to 500 do
             Sec.Monitor.range_train range
-              (Everest_ml.Rng.gaussian ~mu:10.0 ~sigma:1.0 rng)
+              (Everest_parallel.Rng.gaussian ~mu:10.0 ~sigma:1.0 rng)
           done;
           Sec.Monitor.range_finalize range)
         (fun x -> Sec.Monitor.range_check range x <> Sec.Monitor.Normal)
-        (fun () -> 10.0 +. Everest_ml.Rng.uniform rng 10.0 30.0) ]
+        (fun () -> 10.0 +. Everest_parallel.Rng.uniform rng 10.0 30.0) ]
   in
   table ~cols:[ "monitor"; "detection"; "false-pos" ] rows
 
@@ -1481,7 +1481,7 @@ let micro ?(quota = 0.5) () =
   let city = Everest_traffic.Roadnet.grid_city ~rows:8 ~cols:8 () in
   let prof = Everest_traffic.Profiles.create city ~periods:24 in
   let route = Option.get (Everest_traffic.Routing.free_flow city ~src:0 ~dst:63) in
-  let rng = Everest_ml.Rng.create 1 in
+  let rng = Everest_parallel.Rng.create 1 in
   let tests =
     [ Test.make ~name:"aes128-encrypt-block"
         (Staged.stage (fun () -> Sec.Aes.encrypt_block aes_key block));

@@ -4,7 +4,7 @@
      dune exec bench/recovery_bench.exe -- --quick   # reduced sweep for CI
 
    Write-ahead journaling is only worth having if the fault-free run
-   barely notices it, so the headline gate is the CPU-time overhead of
+   barely notices it, so the headline gate is the wall-time overhead of
    a journaled+snapshotted e16-scale serving run over the identical
    unjournaled run — <5% in the full sweep.  The sweep also records what
    the snapshot interval costs and buys.  Resume re-executes the run
@@ -24,7 +24,7 @@ module Tel = Everest_telemetry
 module Json = Everest_telemetry.Json
 
 (* Measuring a 5% effect on a shared host is the hard part of this
-   bench: identical back-to-back runs drift by ±15-30% in CPU time
+   bench: identical back-to-back runs drift by ±15-30% in run time
    (frequency scaling and co-tenant contention change the cycles a fixed
    workload costs), so an A-vs-B comparison of separately timed runs
    cannot resolve the gate.  The gated overhead is therefore measured by
@@ -38,14 +38,14 @@ module Json = Everest_telemetry.Json
 
 type row = {
   r_interval_s : float;
-  r_run_s : float;  (* best journaled run CPU time *)
+  r_run_s : float;  (* best journaled run wall time *)
   r_overhead : float;  (* median attributed work/(total-work) fraction *)
   r_ab_overhead : float;  (* median interleaved-pair A/B ratio - 1 (noisy) *)
   r_records : int;
   r_journal_kib : float;
   r_snapshots : int;
   r_snapshot_kib : float;
-  r_resume_s : float;  (* resume CPU (replay from t=0) after a mid-run kill *)
+  r_resume_s : float;  (* resume wall time (replay from t=0) after a mid-run kill *)
   r_replayed : int;  (* journal records replay-verified on resume *)
   r_identical : bool;  (* resumed report == uninterrupted report *)
 }

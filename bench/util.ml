@@ -1,5 +1,5 @@
 (* Table printing, Bechamel wrappers and the pieces every bench driver
-   shares: the [--quick] flag, the CPU timer, BENCH-record output, and the
+   shares: the [--quick] flag, the wall timer, BENCH-record output, and the
    e16-scale serving fixture of the E19/E20 sweeps. *)
 
 module Json = Everest_telemetry.Json
@@ -52,12 +52,13 @@ let time_str s =
 (* [--quick] selects the reduced CI sweep of a bench executable. *)
 let quick = Array.exists (String.equal "--quick") Sys.argv
 
-(* [f ()] and its CPU seconds: the clock of the attributed-overhead
-   benches. *)
+(* [f ()] and its wall seconds.  The attributed-overhead benches divide
+   [Store.work_s] / [Watch.work_s], which sum wall time, by this total
+   minus that work, so both sides of the fraction must use this clock. *)
 let time_one f =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let r = f () in
-  (Sys.time () -. t0, r)
+  (Unix.gettimeofday () -. t0, r)
 
 let median xs =
   let sorted = List.sort compare xs in

@@ -8,7 +8,7 @@
    e16 scale the recovery bench uses (16 shards, 12800 req/s, 1 s):
 
      1. Overhead: scraping + sketch feeds + rule evaluation tax the
-        watched run by <5% CPU (full mode).
+        watched run by <5% wall time (full mode).
      2. Nothing changes: the watched run's served log / SLO verdicts /
         summary are byte-identical to the unwatched same-seed run, and
         two watched runs render byte-identical dashboards.
@@ -31,7 +31,7 @@ module Json = Everest_telemetry.Json
 
 type row = {
   r_interval_s : float;
-  r_run_s : float;  (* best watched run CPU time *)
+  r_run_s : float;  (* best watched run wall time *)
   r_overhead : float;  (* median attributed work/(total-work) fraction *)
   r_ticks : int;
   r_series : int;

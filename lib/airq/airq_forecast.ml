@@ -7,6 +7,7 @@
    and the time-to-decision with/without acceleration. *)
 
 open Everest_ml
+module Rng = Everest_parallel.Rng
 
 type site = {
   sources : Plume.source list;

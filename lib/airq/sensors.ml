@@ -2,7 +2,7 @@
    spatial information" (§VI-B).  Sensors sample the true field with bias,
    noise and dropout. *)
 
-open Everest_ml
+module Rng = Everest_parallel.Rng
 
 type sensor = {
   id : int;

@@ -11,6 +11,8 @@
    could explore layouts of particles as array-of-structures or
    structure-of-arrays"). *)
 
+module Rng = Everest_parallel.Rng
+
 type layout = Aos | Soa
 
 type system = {
@@ -157,14 +159,14 @@ let step ?(dt = 0.01) s ~cutoff ~force =
 let standard_attrs = [ "x"; "y"; "vx"; "vy"; "fx"; "fy"; "charge"; "mass" ]
 
 let random_system ?(seed = 5) ?(layout = Aos) ~n ~box () =
-  let rng = Everest_ml.Rng.create seed in
+  let rng = Rng.create seed in
   let s = create ~layout ~n standard_attrs in
   for p = 0 to n - 1 do
-    set s p "x" (Everest_ml.Rng.uniform rng 0.0 box);
-    set s p "y" (Everest_ml.Rng.uniform rng 0.0 box);
-    set s p "vx" (Everest_ml.Rng.gaussian ~sigma:0.1 rng);
-    set s p "vy" (Everest_ml.Rng.gaussian ~sigma:0.1 rng);
-    set s p "charge" (if Everest_ml.Rng.float rng < 0.5 then -1.0 else 1.0);
+    set s p "x" (Rng.uniform rng 0.0 box);
+    set s p "y" (Rng.uniform rng 0.0 box);
+    set s p "vx" (Rng.gaussian ~sigma:0.1 rng);
+    set s p "vy" (Rng.gaussian ~sigma:0.1 rng);
+    set s p "charge" (if Rng.float rng < 0.5 then -1.0 else 1.0);
     set s p "mass" 1.0
   done;
   s

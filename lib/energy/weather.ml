@@ -12,6 +12,7 @@
    high-resolution ensembles. *)
 
 open Everest_ml
+module Rng = Everest_parallel.Rng
 
 type sample = {
   hour : int;

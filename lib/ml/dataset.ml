@@ -1,5 +1,7 @@
 (* Dataset utilities: normalization, splits, batching. *)
 
+module Rng = Everest_parallel.Rng
+
 type norm = { means : float array; stds : float array }
 
 let fit_norm (xs : float array array) =

@@ -18,7 +18,7 @@ val split :
 
 (** Shuffled mini-batches covering every sample exactly once. *)
 val batches :
-  Rng.t ->
+  Everest_parallel.Rng.t ->
   batch_size:int ->
   'a array ->
   'b array ->

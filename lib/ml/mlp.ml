@@ -4,6 +4,8 @@
    input/output relationship of the given power plant" (use case A) and the
    traffic prediction model (use case C). *)
 
+module Rng = Everest_parallel.Rng
+
 type activation = Relu | Tanh | Sigmoid | Linear
 
 let act = function

@@ -29,8 +29,29 @@ let int t bound =
   if bound <= 0 then invalid_arg "Everest_parallel.Rng.int: bound <= 0";
   next t mod bound
 
-(* Uniform draw in [0, 1). *)
+(* Uniform draw in (0, 1): [next] is never 0, so neither is this. *)
 let float t = float_of_int (next t) /. float_of_int modulus
+
+let uniform t lo hi = lo +. ((hi -. lo) *. float t)
+
+(* Box-Muller, two uniforms per draw and no cached spare, so [t] stays one
+   int and [copy]/[state] capture the whole stream.  [float] is never 0,
+   so [log u1] is finite without a redraw loop. *)
+let gaussian ?(mu = 0.0) ?(sigma = 1.0) t =
+  let u1 = float t in
+  let u2 = float t in
+  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
+
+(* In-place Fisher-Yates. *)
+let shuffle t arr =
+  for i = Array.length arr - 1 downto 1 do
+    let j = int t (i + 1) in
+    let tmp = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- tmp
+  done
+
+let pick t arr = arr.(int t (Array.length arr))
 
 (* Derive an independent deterministic stream, e.g. one per parallel task. *)
 let split t = create (next t)

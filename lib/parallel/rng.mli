@@ -19,8 +19,20 @@ val next : t -> int
     when [bound <= 0]. *)
 val int : t -> int -> int
 
-(** Uniform draw in [0, 1). *)
+(** Uniform draw in (0, 1); never 0, so [log (float t)] is finite. *)
 val float : t -> float
+
+(** [uniform t lo hi] is uniform in (lo, hi). *)
+val uniform : t -> float -> float -> float
+
+(** Normal draw by Box–Muller: two [float]s per call, no cached spare. *)
+val gaussian : ?mu:float -> ?sigma:float -> t -> float
+
+(** In-place Fisher–Yates shuffle. *)
+val shuffle : t -> 'a array -> unit
+
+(** Uniform element.  Raises [Invalid_argument] on an empty array. *)
+val pick : t -> 'a array -> 'a
 
 (** Derive an independent deterministic child stream. *)
 val split : t -> t

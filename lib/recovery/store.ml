@@ -57,8 +57,8 @@ type t = {
   mutable journal_bytes : int;
   mutable snapshot_bytes : int;
   mutable work_s : float;
-      (* CPU the client attributes to recovery work (encoding, appends,
-         snapshots).  Benches gate on [work_s /. (total -. work_s)]: both
+      (* Wall time the client attributes to recovery work (encoding,
+         appends, snapshots).  Benches gate on [work_s /. (total -. work_s)]: both
          sides of that fraction come from the same run, so host-noise
          multipliers (frequency scaling, co-tenant contention) cancel,
          unlike an A/B comparison of separate timed runs. *)

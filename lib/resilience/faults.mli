@@ -37,8 +37,8 @@ val plan :
   unit ->
   t
 
-(** Compatibility shim for the historical [(node, time)] failure lists:
-    each pair becomes a permanent-death window. *)
+(** Permanent node deaths: each [(node, time)] pair becomes a window
+    that never ends. *)
 val of_failures : (string * float) list -> t
 
 (** Is [node] inside a down window at [now]? *)

@@ -87,7 +87,7 @@ let stable_hash s =
 
 let tenant_rng ~seed t = Rng.create ((seed * 0x9E3779B1) lxor stable_hash t.t_name)
 
-(* Exponential draw with the given rate; [Rng.float] is in [0, 1) so the
+(* Exponential draw with the given rate; [Rng.float] is in (0, 1) so the
    log argument stays positive. *)
 let exp_draw rng ~rate = -.Float.log (1.0 -. Rng.float rng) /. rate
 

@@ -11,10 +11,6 @@ type t = unit -> float
 (* Host wall clock. *)
 let wall : t = Unix.gettimeofday
 
-(* Monotonic process clock (never jumps backwards with NTP adjustments);
-   suitable for durations, not absolute timestamps. *)
-let monotonic : t = Sys.time
-
 (* A manually advanced clock for deterministic tests. *)
 type manual = { mutable now_s : float }
 

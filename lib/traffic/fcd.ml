@@ -2,7 +2,7 @@
    and report (link, speed) roughly every 5 seconds — the Sygic-style data
    feed of §VI-C. *)
 
-open Everest_ml
+module Rng = Everest_parallel.Rng
 
 type ping = {
   vehicle : int;

@@ -1,7 +1,7 @@
 (* Origin-destination demand: gravity-model generation with diurnal demand
    profiles (the provisioned O/D matrix of §VI-C). *)
 
-open Everest_ml
+module Rng = Everest_parallel.Rng
 
 type t = {
   n_zones : int;

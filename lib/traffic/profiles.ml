@@ -2,7 +2,7 @@
    floating-car data.  These drive both the traffic prediction model and the
    probabilistic routing (PTDR). *)
 
-open Everest_ml
+module Rng = Everest_parallel.Rng
 
 type cell = { mutable n : int; mutable mean : float; mutable m2 : float }
 

@@ -21,7 +21,7 @@ val speed_std : t -> link:int -> period:int -> float
 val coverage : t -> float
 
 (** Draw a plausible speed for the link at the period. *)
-val sample_speed : Everest_ml.Rng.t -> t -> link:int -> period:int -> float
+val sample_speed : Everest_parallel.Rng.t -> t -> link:int -> period:int -> float
 
 (** RMSE of the learned means versus a simulator ground truth (covered
     cells only). *)

@@ -5,6 +5,7 @@
    server-side for millions of navigation clients. *)
 
 open Everest_ml
+module Rng = Everest_parallel.Rng
 
 type distribution = {
   samples : float array;  (* travel times in seconds *)

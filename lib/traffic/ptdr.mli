@@ -17,7 +17,7 @@ val summarize : float array -> distribution
 (** One Monte-Carlo rollout of a route departing at [depart]; returns the
     trip duration. *)
 val rollout :
-  Everest_ml.Rng.t -> Roadnet.t -> Profiles.t -> int list -> depart:float -> float
+  Everest_parallel.Rng.t -> Roadnet.t -> Profiles.t -> int list -> depart:float -> float
 
 val monte_carlo :
   ?seed:int ->

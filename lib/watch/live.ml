@@ -10,6 +10,7 @@
    [--format json] and [--out]. *)
 
 module Json = Everest_telemetry.Json
+module Metrics = Everest_telemetry.Metrics
 
 let ramp = " .:-=+*#%@"
 
@@ -94,16 +95,15 @@ let render ?(spark_width = 16) ?(quantiles = [ 0.5; 0.99 ]) (w : Watch.t)
     line "%-44s %12s%s" "SKETCH (window)" "COUNT" qhdr;
     List.iter
       (fun (name, labels, wd) ->
-        let sk =
-          Sketch.Windowed.query wd ~now ~window_s:(Sketch.Windowed.span_s wd)
-        in
+        let sk = Sketch.query wd ~now ~window_s:(Sketch.span_s wd) in
         let qs =
           String.concat ""
             (List.map
-               (fun q -> Printf.sprintf " %12s" (fmt_f (Sketch.quantile sk q)))
+               (fun q -> Printf.sprintf " %12s" (fmt_f (Metrics.quantile sk q)))
                quantiles)
         in
-        line "%-44s %12d%s" (name ^ fmt_labels labels) (Sketch.count sk) qs)
+        line "%-44s %12d%s" (name ^ fmt_labels labels) (Metrics.hist_count sk)
+          qs)
       sketches
   end;
   let alerts = Watch.alert_states w in
@@ -152,17 +152,15 @@ let to_json ?(quantiles = [ 0.5; 0.99 ]) (w : Watch.t) ~now =
                  Float.neg_infinity pts) ) ]
   in
   let sketch_json (name, labels, wd) =
-    let sk =
-      Sketch.Windowed.query wd ~now ~window_s:(Sketch.Windowed.span_s wd)
-    in
+    let sk = Sketch.query wd ~now ~window_s:(Sketch.span_s wd) in
     Json.Obj
       ([ ("name", Json.Str name);
          ("labels", labels_json labels);
-         ("count", Json.Num (float_of_int (Sketch.count sk))) ]
+         ("count", Json.Num (float_of_int (Metrics.hist_count sk))) ]
       @ List.map
           (fun q ->
             ( Printf.sprintf "p%g" (100.0 *. q),
-              num (Sketch.quantile sk q) ))
+              num (Metrics.quantile sk q) ))
           quantiles)
   in
   let alert_json (a : Rules.alert_state) =

@@ -17,6 +17,8 @@
    An expression over a series with no data yet is undefined: the rule is
    skipped for the tick and alert hold-down state is left untouched. *)
 
+module Metrics = Everest_telemetry.Metrics
+
 type labels = (string * string) list
 
 type expr =
@@ -61,7 +63,7 @@ let alert ?(for_s = 0.0) name expr cond =
    that always misses). *)
 type ctx = {
   ctx_store : Series.Store.t;
-  ctx_sketch : string -> labels -> Sketch.Windowed.t option;
+  ctx_sketch : string -> labels -> Sketch.t option;
 }
 
 type alert_state = {
@@ -134,15 +136,16 @@ let rec eval_expr ctx ~now = function
       match ctx.ctx_sketch name labels with
       | None -> None
       | Some wd ->
-          let sk = Sketch.Windowed.query wd ~now ~window_s:w in
-          if Sketch.count sk = 0 then None else Some (Sketch.quantile sk q))
+          let h = Sketch.query wd ~now ~window_s:w in
+          if Metrics.hist_count h = 0 then None
+          else Some (Metrics.quantile h q))
   | Count_over (name, labels, w) -> (
       match ctx.ctx_sketch name labels with
       | None -> None
       | Some wd ->
           Some
             (float_of_int
-               (Sketch.count (Sketch.Windowed.query wd ~now ~window_s:w))))
+               (Metrics.hist_count (Sketch.query wd ~now ~window_s:w))))
   | Add (a, b) -> lift2 ctx ~now ( +. ) a b
   | Sub (a, b) -> lift2 ctx ~now ( -. ) a b
   | Mul (a, b) -> lift2 ctx ~now ( *. ) a b

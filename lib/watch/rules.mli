@@ -40,7 +40,7 @@ val alert : ?for_s:float -> string -> expr -> cond -> rule
 (** What expressions read: the series store plus a sketch lookup. *)
 type ctx = {
   ctx_store : Series.Store.t;
-  ctx_sketch : string -> labels -> Sketch.Windowed.t option;
+  ctx_sketch : string -> labels -> Sketch.t option;
 }
 
 type alert_state = {

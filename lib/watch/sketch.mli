@@ -1,54 +1,19 @@
-(** Mergeable aggregate sketches (count/sum/min/max + log-bucketed
-    quantiles on the {!Everest_telemetry.Metrics} bucket layout) and a
-    windowed collector answering trailing-window quantile queries in
-    O(buckets) — independent of how many samples the window saw. *)
+(** Windowed quantiles: a ring of {!Everest_telemetry.Metrics} histograms
+    answering trailing-window queries in O(buckets) — independent of how
+    many samples the window saw. *)
 
+(** A ring of [slots] histograms, one per [bucket_s] of caller time,
+    covering the trailing [slots * bucket_s] seconds. *)
 type t
 
-val create : unit -> t
+val create : ?bucket_s:float -> ?slots:int -> unit -> t
 
-(** Negative samples are clamped to 0 (the metrics layer does the same). *)
-val observe : t -> float -> unit
+(** Total coverage in seconds. *)
+val span_s : t -> float
 
-val count : t -> int
-val sum : t -> float
-val mean : t -> float
+val observe : t -> now:float -> float -> unit
 
-(** 0 on an empty sketch. *)
-val min_v : t -> float
+(** Merged histogram of the slots covering [now - window_s, now]. *)
+val query :
+  t -> now:float -> window_s:float -> Everest_telemetry.Metrics.histogram
 
-val max_v : t -> float
-val reset : t -> unit
-
-(** Bucket-wise sum: associative and commutative. *)
-val merge : t -> t -> t
-
-val merge_into : into:t -> t -> unit
-
-(** Same estimator as [Metrics.quantile]: geometric interpolation inside
-    the bucket crossing the rank. *)
-val quantile : t -> float -> float
-
-module Windowed : sig
-  type sketch = t
-
-  (** A ring of [slots] sketches, one per [bucket_s] of caller time,
-      covering the trailing [slots * bucket_s] seconds. *)
-  type t
-
-  val create : ?bucket_s:float -> ?slots:int -> unit -> t
-
-  (** Total coverage in seconds. *)
-  val span_s : t -> float
-
-  (** Samples ever observed (including ones already rotated out). *)
-  val samples : t -> int
-
-  val observe : t -> now:float -> float -> unit
-
-  (** Merged sketch of the slots covering [now - window_s, now]. *)
-  val query : t -> now:float -> window_s:float -> sketch
-
-  (** Allocation-free variant: [into] is reset, then receives the merge. *)
-  val query_into : into:sketch -> t -> now:float -> window_s:float -> unit
-end

@@ -27,7 +27,7 @@ let sketch_slots = 20
 type t = {
   w_interval_s : float;  (* scrape cadence on the watched clock *)
   w_store : Series.Store.t;
-  w_sketches : (string * (string * string) list, Sketch.Windowed.t) Hashtbl.t;
+  w_sketches : (string * (string * string) list, Sketch.t) Hashtbl.t;
   mutable w_sketch_keys : (string * (string * string) list) list;
       (* insertion-ordered keys for deterministic iteration *)
   w_rules : Rules.t;
@@ -35,7 +35,7 @@ type t = {
   mutable w_last_tick : float;  (* nan = never ticked *)
   mutable w_ticks : int;
   mutable w_samples : int;  (* sketch observations *)
-  mutable w_work_s : float;  (* host CPU attributed to watching *)
+  mutable w_work_s : float;  (* host wall time attributed to watching *)
   mutable w_on_tick : (t -> now:float -> unit) option;
 }
 
@@ -80,9 +80,7 @@ let sketch w ~name ~labels =
   match Hashtbl.find_opt w.w_sketches key with
   | Some wd -> wd
   | None ->
-      let wd =
-        Sketch.Windowed.create ~bucket_s:sketch_bucket_s ~slots:sketch_slots ()
-      in
+      let wd = Sketch.create ~bucket_s:sketch_bucket_s ~slots:sketch_slots () in
       Hashtbl.replace w.w_sketches key wd;
       w.w_sketch_keys <- w.w_sketch_keys @ [ key ];
       wd
@@ -100,7 +98,7 @@ let sketch_list w =
    call sites: one bucket update plus two clock reads. *)
 let observe w ~now ?(labels = []) name v =
   let t0 = Unix.gettimeofday () in
-  Sketch.Windowed.observe (sketch w ~name ~labels) ~now v;
+  Sketch.observe (sketch w ~name ~labels) ~now v;
   w.w_samples <- w.w_samples + 1;
   w.w_work_s <- w.w_work_s +. (Unix.gettimeofday () -. t0)
 

@@ -23,7 +23,7 @@ val ticks : t -> int
 (** Sketch observations recorded. *)
 val samples : t -> int
 
-(** Host CPU seconds attributed to watching (scrapes, rule evaluation,
+(** Host wall seconds attributed to watching (scrapes, rule evaluation,
     sketch feeds) — the numerator of the E20 overhead gate. *)
 val work_s : t -> float
 
@@ -35,15 +35,13 @@ val add_source : t -> Scrape.t -> unit
 val on_tick : t -> (t -> now:float -> unit) -> unit
 
 (** Get or create the named windowed sketch. *)
-val sketch :
-  t -> name:string -> labels:(string * string) list -> Sketch.Windowed.t
+val sketch : t -> name:string -> labels:(string * string) list -> Sketch.t
 
 val find_sketch :
-  t -> name:string -> labels:(string * string) list -> Sketch.Windowed.t option
+  t -> name:string -> labels:(string * string) list -> Sketch.t option
 
 (** Sketches in first-observation order (deterministic). *)
-val sketch_list :
-  t -> (string * (string * string) list * Sketch.Windowed.t) list
+val sketch_list : t -> (string * (string * string) list * Sketch.t) list
 
 (** Feed one sample into the named windowed sketch. *)
 val observe :

@@ -45,13 +45,13 @@ exception Execution_failed of { reason : string; partial : stats }
 
 (** Execute the plan.
 
-    [failures] is the historical shim: a list of [(node, time)] pairs, each
-    becoming a permanent node death at the given simulated time.  [faults]
-    is the full fault plan and wins over [failures] when both are given.
-    [policy] (default {!Everest_resilience.Policy.default}) sets retry
-    budget, backoff, timeouts, speculation and heartbeat; the default is
-    inert beyond retries, so zero-fault runs behave exactly like the
-    pre-resilience executor.
+    [faults] (default {!Everest_resilience.Faults.none}) is the fault
+    plan; {!Everest_resilience.Faults.of_failures} builds one from
+    permanent [(node, time)] deaths.  [policy] (default
+    {!Everest_resilience.Policy.default}) sets retry budget, backoff,
+    timeouts, speculation and heartbeat; the default is inert beyond
+    retries, so zero-fault runs behave exactly like the pre-resilience
+    executor.
 
     [tracer] (default {!Everest_telemetry.Trace.noop}) records per-attempt
     task spans and per-transfer spans in simulated time, one track per
@@ -78,7 +78,6 @@ exception Execution_failed of { reason : string; partial : stats }
     first completion feeds its ["task_duration"] windowed sketch.
     Watching never perturbs the simulated run. *)
 val execute :
-  ?failures:(string * float) list ->
   ?faults:Everest_resilience.Faults.t ->
   ?policy:Everest_resilience.Policy.t ->
   ?tracer:Everest_telemetry.Trace.t ->
@@ -99,7 +98,6 @@ val run_on_demonstrator :
   ?cloud_fpgas:int ->
   ?edges:int ->
   ?endpoints:int ->
-  ?failures:(string * float) list ->
   ?faults:Everest_resilience.Faults.t ->
   ?exec_policy:Everest_resilience.Policy.t ->
   ?tracer:[ `Noop | `Sim ] ->

@@ -1,38 +1,11 @@
-(* Tests for everest_ml: RNG, linear algebra, dataset handling, MLP
+(* Tests for everest_ml: linear algebra, dataset handling, MLP
    training, linear regression and metrics. *)
 
 open Everest_ml
+module Rng = Everest_parallel.Rng
 
 let checkb = Alcotest.check Alcotest.bool
 let checkf eps = Alcotest.check (Alcotest.float eps)
-
-(* ---- rng ---------------------------------------------------------------------- *)
-
-let test_rng_deterministic () =
-  let a = Rng.create 42 and b = Rng.create 42 in
-  for _ = 1 to 100 do
-    checkf 0.0 "same stream" (Rng.float a) (Rng.float b)
-  done
-
-let test_rng_uniform_range () =
-  let rng = Rng.create 1 in
-  for _ = 1 to 1000 do
-    let x = Rng.uniform rng 2.0 5.0 in
-    checkb "in range" true (x >= 2.0 && x < 5.0)
-  done
-
-let test_rng_gaussian_moments () =
-  let rng = Rng.create 7 in
-  let xs = Array.init 20_000 (fun _ -> Rng.gaussian ~mu:3.0 ~sigma:2.0 rng) in
-  checkb "mean near 3" true (Float.abs (Metrics.mean xs -. 3.0) < 0.1);
-  checkb "std near 2" true (Float.abs (Metrics.stddev xs -. 2.0) < 0.1)
-
-let test_rng_int_bounds () =
-  let rng = Rng.create 11 in
-  for _ = 1 to 1000 do
-    let x = Rng.int rng 7 in
-    checkb "bounded" true (x >= 0 && x < 7)
-  done
 
 (* ---- linalg ------------------------------------------------------------------- *)
 
@@ -169,11 +142,6 @@ let test_percentile () =
 let () =
   Alcotest.run "everest_ml"
     [
-      ( "rng",
-        [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
-          Alcotest.test_case "uniform" `Quick test_rng_uniform_range;
-          Alcotest.test_case "gaussian" `Quick test_rng_gaussian_moments;
-          Alcotest.test_case "int" `Quick test_rng_int_bounds ] );
       ( "linalg",
         [ Alcotest.test_case "matmul" `Quick test_matmul;
           Alcotest.test_case "solve" `Quick test_solve;

@@ -69,8 +69,70 @@ let test_rng_degenerate_seeds () =
       let a = Rng.next r and b = Rng.next r in
       checkb (Printf.sprintf "seed %d draws nonzero" seed) true
         (a > 0 && b > 0);
-      checkb (Printf.sprintf "seed %d advances" seed) true (a <> b))
-    [ 0; 0x7FFFFFFF; -0x7FFFFFFF; 2 * 0x7FFFFFFF ]
+      checkb (Printf.sprintf "seed %d advances" seed) true (a <> b);
+      (* a frozen state would make every gaussian draw the same value *)
+      let g = Rng.create seed in
+      let zs = List.init 8 (fun _ -> Rng.gaussian g) in
+      checkb (Printf.sprintf "seed %d gaussian not constant" seed) true
+        (List.exists (fun z -> z <> List.hd zs) zs
+        && List.for_all Float.is_finite zs))
+    [ 0; -1; -42; 0x7FFFFFFF; -0x7FFFFFFF; 2 * 0x7FFFFFFF ]
+
+let test_rng_deterministic () =
+  let a = Rng.create 42 and b = Rng.create 42 in
+  for _ = 1 to 100 do
+    Alcotest.(check (float 0.0)) "same stream" (Rng.float a) (Rng.float b)
+  done;
+  (* gaussian keeps no spare, so a copy taken mid-stream replays exactly *)
+  ignore (Rng.gaussian a);
+  let c = Rng.copy a in
+  checki "state copied" (Rng.state a) (Rng.state c);
+  for _ = 1 to 10 do
+    Alcotest.(check (float 0.0)) "copy replays" (Rng.gaussian a)
+      (Rng.gaussian c)
+  done
+
+let test_rng_uniform_range () =
+  let rng = Rng.create 1 in
+  for _ = 1 to 1000 do
+    let x = Rng.uniform rng 2.0 5.0 in
+    checkb "in range" true (x > 2.0 && x < 5.0);
+    checkb "float never 0" true (Rng.float rng > 0.0)
+  done
+
+let test_rng_gaussian_moments () =
+  let rng = Rng.create 7 in
+  let n = 20_000 in
+  let xs = Array.init n (fun _ -> Rng.gaussian ~mu:3.0 ~sigma:2.0 rng) in
+  let mean = Array.fold_left ( +. ) 0.0 xs /. float_of_int n in
+  let var =
+    Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 xs
+    /. float_of_int (n - 1)
+  in
+  checkb "mean near 3" true (Float.abs (mean -. 3.0) < 0.1);
+  checkb "std near 2" true (Float.abs (sqrt var -. 2.0) < 0.1)
+
+let test_rng_int_covers_range () =
+  let rng = Rng.create 11 in
+  let seen = Array.make 7 0 in
+  for _ = 1 to 1000 do
+    let x = Rng.int rng 7 in
+    seen.(x) <- seen.(x) + 1
+  done;
+  checkb "every value drawn" true (Array.for_all (fun c -> c > 0) seen)
+
+let test_rng_shuffle_permutes () =
+  let rng = Rng.create 3 in
+  let a = Array.init 50 Fun.id in
+  Rng.shuffle rng a;
+  Alcotest.(check (list int))
+    "a permutation" (List.init 50 Fun.id)
+    (List.sort compare (Array.to_list a));
+  checkb "order changed" true (a <> Array.init 50 Fun.id);
+  for _ = 1 to 100 do
+    let x = Rng.pick rng a in
+    checkb "pick is a member" true (x >= 0 && x < 50)
+  done
 
 let test_rng_deterministic_and_compatible () =
   let a = Rng.create 17 and b = Rng.create 17 in
@@ -189,7 +251,12 @@ let () =
             test_rng_degenerate_seeds;
           Alcotest.test_case "determinism + compat" `Quick
             test_rng_deterministic_and_compatible;
-          Alcotest.test_case "bounds" `Quick test_rng_bounds ] );
+          Alcotest.test_case "bounds" `Quick test_rng_bounds;
+          Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
+          Alcotest.test_case "uniform" `Quick test_rng_uniform_range;
+          Alcotest.test_case "gaussian" `Quick test_rng_gaussian_moments;
+          Alcotest.test_case "int" `Quick test_rng_int_covers_range;
+          Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutes ] );
       ( "cache",
         [ Alcotest.test_case "hit/miss accounting" `Quick test_cache_counts ] );
       ( "dse",
