@@ -42,11 +42,14 @@ type t = {
 let size g = Array.length g.nodes
 let node g i = g.nodes.(i)
 
-let succs g i =
-  Array.fold_left
-    (fun acc n -> if List.mem i n.preds then n.id :: acc else acc)
-    [] g.nodes
-  |> List.rev
+(* Successor lists of every node, ascending; a node listed twice among
+   another's preds appears twice in its successor list. *)
+let succs g =
+  let s = Array.make (size g) [] in
+  for j = size g - 1 downto 0 do
+    List.iter (fun p -> s.(p) <- j :: s.(p)) g.nodes.(j).preds
+  done;
+  s
 
 (* Longest path through the DFG in #nodes (a lower bound on latency). *)
 let depth g latency_of =

@@ -40,7 +40,10 @@ type t = {
 
 val size : t -> int
 val node : t -> int -> node
-val succs : t -> int -> int list
+
+(** Successor lists of all nodes in ascending id order, built in O(n + e).
+    Duplicate predecessors yield duplicate successor entries. *)
+val succs : t -> int list array
 
 (** Longest path under a per-class latency function. *)
 val depth : t -> (opclass -> int) -> int

@@ -31,8 +31,9 @@ let bank_of cfg ~array_size idx =
    iterations and take the worst case. *)
 let conflicts cfg ~array_size ~unroll ~window (accesses : Cdfg.index list) =
   let worst = ref 0 in
+  let per_bank = Array.make cfg.banks 0 in
   for i0 = 0 to window - 1 do
-    let tbl = Hashtbl.create 16 in
+    Array.fill per_bank 0 cfg.banks 0;
     List.iter
       (fun (a : Cdfg.index) ->
         for u = 0 to unroll - 1 do
@@ -44,12 +45,10 @@ let conflicts cfg ~array_size ~unroll ~window (accesses : Cdfg.index list) =
           in
           let idx = ((idx mod array_size) + array_size) mod array_size in
           let bk = bank_of cfg ~array_size idx in
-          Hashtbl.replace tbl bk
-            (1 + Option.value ~default:0 (Hashtbl.find_opt tbl bk))
+          per_bank.(bk) <- per_bank.(bk) + 1;
+          worst := max !worst per_bank.(bk)
         done)
-      accesses;
-    let m = Hashtbl.fold (fun _ v acc -> max v acc) tbl 0 in
-    worst := max !worst m
+      accesses
   done;
   (* conflicts = accesses serialized beyond the first on the worst bank *)
   max 0 (!worst - 1)

@@ -58,21 +58,21 @@ let generate ~name (g : Cdfg.t) (s : Schedule.t) (b : Bind.binding)
           params = [ ("WIDTH", "32") ] })
       b.Bind.fus
   in
-  let fu_of_node n = List.assoc_opt n b.Bind.node_fu in
-  let states =
-    List.init (max 1 s.Schedule.makespan) (fun c ->
-        let active =
-          Array.to_list g.Cdfg.nodes
-          |> List.filter_map (fun (nd : Cdfg.node) ->
-                 if s.Schedule.start.(nd.Cdfg.id) = c then
-                   match fu_of_node nd.Cdfg.id with
-                   | Some fu ->
-                       Some (Printf.sprintf "fu%d" fu, nd.Cdfg.id)
-                   | None -> None
-                 else None)
-        in
-        { state_id = c; active })
-  in
+  (* node -> bound FU (the first binding listed wins), then nodes bucketed
+     by start cycle in ascending id order *)
+  let n = Cdfg.size g in
+  let fu_of_node = Array.make n (-1) in
+  List.iter
+    (fun (nd, fu) -> if fu_of_node.(nd) < 0 then fu_of_node.(nd) <- fu)
+    b.Bind.node_fu;
+  let nstates = max 1 s.Schedule.makespan in
+  let at = Array.make nstates [] in
+  for i = n - 1 downto 0 do
+    let c = s.Schedule.start.(i) in
+    if c >= 0 && c < nstates && fu_of_node.(i) >= 0 then
+      at.(c) <- (Printf.sprintf "fu%d" fu_of_node.(i), i) :: at.(c)
+  done;
+  let states = List.init nstates (fun c -> { state_id = c; active = at.(c) }) in
   { name; ports; instances; registers = b.Bind.registers; states }
 
 let emit ppf (m : t) =

@@ -58,34 +58,218 @@ let asap (g : Cdfg.t) : t =
   let makespan = Array.fold_left max 0 fin in
   { start; finish = fin; makespan }
 
-let alap (g : Cdfg.t) ~deadline : t =
+(* Latest start of every node against [deadline], given successor lists:
+   one reverse pass over the construction (topological) order. *)
+let alap_succs (g : Cdfg.t) (succs : int list array) ~deadline : t =
   let n = Cdfg.size g in
   let start = Array.make n max_int in
   let fin = Array.make n max_int in
-  (* process in reverse topological (construction) order *)
   for i = n - 1 downto 0 do
-    let nd = Cdfg.node g i in
-    let succ_starts =
-      List.filter_map
-        (fun j ->
-          let m = Cdfg.node g j in
-          if List.mem i m.Cdfg.preds then Some start.(j) else None)
-        (List.init n Fun.id)
-    in
-    let latest =
-      List.fold_left min deadline succ_starts
-    in
+    let latest = List.fold_left (fun m j -> min m start.(j)) deadline succs.(i) in
     fin.(i) <- latest;
-    start.(i) <- latest - latency nd.Cdfg.cls
+    start.(i) <- latest - latency (Cdfg.node g i).Cdfg.cls
   done;
   { start; finish = fin; makespan = deadline }
 
-(* Resource-constrained list scheduling with priority = ALAP slack. *)
+let alap (g : Cdfg.t) ~deadline : t = alap_succs g (Cdfg.succs g) ~deadline
+
+(* [a], or a copy at least twice as long padded with [x], so that index
+   [c] is in bounds: per-cycle tables grow on demand. *)
+let room a c x =
+  let len = Array.length a in
+  if c < len then a
+  else begin
+    let b = Array.make (max (c + 1) (2 * len)) x in
+    Array.blit a 0 b 0 len;
+    b
+  end
+
+(* Per-cycle use count of one resource. *)
+let used k c = if c < Array.length !k then !k.(c) else 0
+
+let bump k c =
+  k := room !k c 0;
+  !k.(c) <- !k.(c) + 1
+
+let class_index = function
+  | Cdfg.Add -> 0 | Mul -> 1 | Div -> 2 | Logic -> 3 | Load -> 4 | Store -> 5
+  | Const -> 6 | Nop -> 7
+
+(* Dense id of [key] in [tbl], numbering keys in first-seen order. *)
+let dense_id tbl key =
+  match Hashtbl.find_opt tbl key with
+  | Some k -> k
+  | None ->
+      let k = Hashtbl.length tbl in
+      Hashtbl.add tbl key k;
+      k
+
+module Ranks = Set.Make (Int)
+
+(* Resource-constrained list scheduling with priority = ALAP slack.
+
+   Event-driven: a node enters the ready set when its last predecessor is
+   placed, keyed to the cycle [max over preds p of max (finish p) (start p
+   + 1)] — a zero-latency predecessor placed in cycle c unlocks its
+   successors only from c + 1, as the ready list of each cycle is fixed
+   before anything is placed in it.  Priority is the node's rank in the
+   (slack, id) order.  Ready nodes are grouped by (class, array): members
+   of one group compete for exactly the same resources, so once a group's
+   best node fails to fit in a cycle, the rest of the group fails too and
+   is skipped: a cycle costs O(groups) per placement, not O(ready). *)
 let list_schedule ?(res = default_resources) (g : Cdfg.t) : t =
+  let n = Cdfg.size g in
+  let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("Schedule.list_schedule: " ^ m)) fmt in
+  Array.iter
+    (fun (nd : Cdfg.node) ->
+      (match nd.Cdfg.array with
+      | Some a when res.mem_ports <= 0 ->
+          fail "array %s is accessed but mem_ports = %d" a res.mem_ports
+      | _ -> ());
+      let cls = Cdfg.opclass_name nd.Cdfg.cls in
+      if avail res nd.Cdfg.cls <= 0 then
+        fail "%s nodes but %d %s units" cls (avail res nd.Cdfg.cls) cls)
+    g.Cdfg.nodes;
+  let arr_ids = Hashtbl.create 8 in
+  let arr_of =
+    Array.map
+      (fun (nd : Cdfg.node) ->
+        match nd.Cdfg.array with None -> -1 | Some a -> dense_id arr_ids a)
+      g.Cdfg.nodes
+  in
+  let succs = Cdfg.succs g in
+  let asap_s = asap g in
+  let alap_s = alap_succs g succs ~deadline:asap_s.makespan in
+  let slack i = alap_s.start.(i) - asap_s.start.(i) in
+  let by_rank = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare (slack a) (slack b)) by_rank;
+  let rank = Array.make n 0 in
+  Array.iteri (fun r i -> rank.(i) <- r) by_rank;
+  (* one ready group per (class, array) pair *)
+  let group_ids = Hashtbl.create 16 in
+  let group_of =
+    Array.mapi
+      (fun i (nd : Cdfg.node) -> dense_id group_ids (class_index nd.Cdfg.cls, arr_of.(i)))
+      g.Cdfg.nodes
+  in
+  let ngroups = Hashtbl.length group_ids in
+  let ready = Array.make ngroups Ranks.empty in
+  let head = Array.make ngroups max_int in  (* best rank per group *)
+  let blocked = Array.make ngroups (-1) in  (* cycle its best node failed *)
+  let fu_use = Array.init 8 (fun _ -> ref [||]) in
+  let port_use = Array.init (Hashtbl.length arr_ids) (fun _ -> ref [||]) in
+  (* Placement cycles never decrease, so a divider busy at some cycle after
+     [c] is busy at [c] too: checking [c] alone covers the full occupancy. *)
+  let fits i c =
+    let cls = (Cdfg.node g i).Cdfg.cls in
+    used fu_use.(class_index cls) c < avail res cls
+    && (arr_of.(i) < 0 || used port_use.(arr_of.(i)) c < res.mem_ports)
+  in
+  let start = Array.make n (-1) in
+  let fin = Array.make n (-1) in
+  let waiting = Array.map (fun (nd : Cdfg.node) -> List.length nd.Cdfg.preds) g.Cdfg.nodes in
+  let release = Array.make n 0 in
+  (* nodes whose predecessors are all placed, bucketed by release cycle *)
+  let pending = ref [||] in
+  let npending = ref 0 in
+  let defer i =
+    let c = release.(i) in
+    pending := room !pending c [];
+    !pending.(c) <- i :: !pending.(c);
+    incr npending
+  in
+  Array.iteri (fun i w -> if w = 0 then defer i) waiting;
+  let place i c =
+    let nd = Cdfg.node g i in
+    let cls = nd.Cdfg.cls in
+    let lat = latency cls in
+    start.(i) <- c;
+    fin.(i) <- c + lat;
+    for dc = 0 to (if cls = Cdfg.Div then lat else 1) - 1 do
+      bump fu_use.(class_index cls) (c + dc)
+    done;
+    if arr_of.(i) >= 0 then bump port_use.(arr_of.(i)) c;
+    let unlock = max (c + lat) (c + 1) in
+    List.iter
+      (fun j ->
+        release.(j) <- max release.(j) unlock;
+        waiting.(j) <- waiting.(j) - 1;
+        if waiting.(j) = 0 then defer j)
+      succs.(i)
+  in
+  let remaining = ref n in
+  let nready = ref 0 in
+  let cycle = ref 0 in
+  while !remaining > 0 do
+    let c = !cycle in
+    if c < Array.length !pending then begin
+      List.iter
+        (fun i ->
+          let gi = group_of.(i) in
+          ready.(gi) <- Ranks.add rank.(i) ready.(gi);
+          head.(gi) <- min head.(gi) rank.(i);
+          incr nready;
+          decr npending)
+        !pending.(c);
+      !pending.(c) <- []
+    end;
+    if !nready = 0 && !npending = 0 then
+      failwith "Schedule.list_schedule: dependency cycle";
+    (* place ready nodes in global rank order, skipping blocked groups *)
+    let more = ref (!nready > 0) in
+    while !more do
+      let best = ref (-1) and best_rank = ref max_int in
+      for gi = 0 to ngroups - 1 do
+        if blocked.(gi) <> c && head.(gi) < !best_rank then begin
+          best := gi;
+          best_rank := head.(gi)
+        end
+      done;
+      if !best < 0 then more := false
+      else begin
+        let gi = !best and r = !best_rank in
+        let i = by_rank.(r) in
+        if fits i c then begin
+          place i c;
+          let rest = Ranks.remove r ready.(gi) in
+          ready.(gi) <- rest;
+          head.(gi) <- (if Ranks.is_empty rest then max_int else Ranks.min_elt rest);
+          decr nready;
+          decr remaining
+        end
+        else blocked.(gi) <- c
+      end
+    done;
+    incr cycle
+  done;
+  let makespan = Array.fold_left max 0 fin in
+  { start; finish = fin; makespan }
+
+(* Test oracle: the original scheduler, which rebuilds and re-sorts the
+   ready list every cycle, scans all nodes for successors in its ALAP pass
+   and keys usage by strings.  [list_schedule] must match it bit for bit. *)
+let list_schedule_reference ?(res = default_resources) (g : Cdfg.t) : t =
   let n = Cdfg.size g in
   let asap_s = asap g in
   let deadline = asap_s.makespan in
-  let alap_s = alap g ~deadline in
+  let alap_s =
+    let start = Array.make n max_int in
+    let fin = Array.make n max_int in
+    for i = n - 1 downto 0 do
+      let nd = Cdfg.node g i in
+      let succ_starts =
+        List.filter_map
+          (fun j ->
+            let m = Cdfg.node g j in
+            if List.mem i m.Cdfg.preds then Some start.(j) else None)
+          (List.init n Fun.id)
+      in
+      let latest = List.fold_left min deadline succ_starts in
+      fin.(i) <- latest;
+      start.(i) <- latest - latency nd.Cdfg.cls
+    done;
+    { start; finish = fin; makespan = deadline }
+  in
   let slack i = alap_s.start.(i) - asap_s.start.(i) in
   let start = Array.make n (-1) in
   let fin = Array.make n (-1) in
@@ -211,18 +395,32 @@ let validate (g : Cdfg.t) (s : t) ~res =
         List.for_all (fun p -> s.finish.(p) <= s.start.(nd.Cdfg.id)) nd.Cdfg.preds)
       g.Cdfg.nodes
   in
+  let usage = Hashtbl.create 64 in
+  let take key cap =
+    let u = 1 + Option.value ~default:0 (Hashtbl.find_opt usage key) in
+    Hashtbl.replace usage key u;
+    u <= cap
+  in
   let ok_res =
-    let usage = Hashtbl.create 64 in
     Array.for_all
       (fun (nd : Cdfg.node) ->
         let cls = nd.Cdfg.cls in
-        if cls = Cdfg.Const || cls = Cdfg.Nop then true
-        else begin
-          let k = (Cdfg.opclass_name cls, s.start.(nd.Cdfg.id)) in
-          let u = Option.value ~default:0 (Hashtbl.find_opt usage k) in
-          Hashtbl.replace usage k (u + 1);
-          u + 1 <= avail res cls
-        end)
+        let st = s.start.(nd.Cdfg.id) in
+        let fu_ok =
+          match cls with
+          | Cdfg.Const | Cdfg.Nop -> true
+          | _ ->
+              let occupied = if cls = Cdfg.Div then latency cls else 1 in
+              List.for_all
+                (fun dc -> take (Cdfg.opclass_name cls, st + dc) (avail res cls))
+                (List.init occupied Fun.id)
+        in
+        let port_ok =
+          match nd.Cdfg.array with
+          | Some arr -> take ("#" ^ arr, st) res.mem_ports
+          | None -> true
+        in
+        fu_ok && port_ok)
       g.Cdfg.nodes
   in
   ok_deps && ok_res

@@ -28,12 +28,24 @@ type t = {
 (** Unconstrained as-soon-as-possible schedule. *)
 val asap : Cdfg.t -> t
 
-(** As-late-as-possible schedule against [deadline]. *)
+(** As-late-as-possible schedule against [deadline], in O(n + e). *)
 val alap : Cdfg.t -> deadline:int -> t
 
-(** Resource-constrained list scheduling, priority = ALAP slack.
-    Unpipelined dividers occupy their unit for their full latency. *)
+(** Resource-constrained list scheduling, priority = ALAP slack (ties by
+    node id).  Unpipelined dividers occupy their unit for their full
+    latency; loads and stores each have [mem_ports] units and also share
+    [mem_ports] ports per array and cycle.  Event-driven: O(n log n) plus
+    O(groups) per cycle and placement, where a group is a distinct
+    (class, array) pair.  Bit-identical to [list_schedule_reference].
+    @raise Invalid_argument when a node's class has no units, or a node
+    accesses an array while [mem_ports <= 0]. *)
 val list_schedule : ?res:resources -> Cdfg.t -> t
+
+(** The original O(n²) scheduler: each cycle filters all nodes for
+    readiness and re-sorts them, and its ALAP pass scans every node for
+    successors.  Kept only as the test oracle [list_schedule] is checked
+    against; it spins until a runaway [Failure] on impossible resources. *)
+val list_schedule_reference : ?res:resources -> Cdfg.t -> t
 
 val cdiv : int -> int -> int
 
@@ -53,5 +65,7 @@ val pipelined_cycles : ?res:resources -> Cdfg.t -> trips:int -> int
 (** Average issued operations per cycle. *)
 val utilization : Cdfg.t -> t -> float
 
-(** Dependencies respected and per-cycle resource bounds honored. *)
+(** Dependencies respected and per-cycle resource bounds honored: per
+    class and cycle at most [avail] units busy, a divider busy for its full
+    latency, and per array and cycle at most [mem_ports] accesses. *)
 val validate : Cdfg.t -> t -> res:resources -> bool

@@ -278,6 +278,253 @@ let prop_partition_never_hurts =
       let _, ii_opt = Mem_partition.optimize ~ports:2 ~array_size:256 ~unroll accesses in
       ii_opt <= ii1)
 
+
+(* ---- fast HLS stages against their original quadratic forms ----------------- *)
+
+(* Random CDFGs wider than [Cdfg.random]: all eight classes (zero-latency
+   Const/Nop, 12-cycle Div), up to three preds per node with duplicates
+   allowed, and loads and stores spread over two shared arrays. *)
+let all_classes =
+  [| Cdfg.Add; Mul; Div; Logic; Load; Store; Const; Nop |]
+
+let gen_node i =
+  QCheck.Gen.(
+    triple (int_bound 7)
+      (if i = 0 then return [] else list_size (int_bound 3) (int_bound (i - 1)))
+      (pair bool (int_range (-8) 8)))
+
+let gen_specs =
+  QCheck.Gen.(int_range 1 60 >>= fun n -> flatten_l (List.init n gen_node))
+
+let cdfg_of_specs specs =
+  let b = Cdfg.builder () in
+  Cdfg.declare_array b "a" 64;
+  Cdfg.declare_array b "b" 64;
+  List.iter
+    (fun (ci, preds, (on_a, offset)) ->
+      let cls = all_classes.(ci) in
+      let array =
+        match cls with
+        | Cdfg.Load | Cdfg.Store -> Some (if on_a then "a" else "b")
+        | _ -> None
+      in
+      ignore
+        (Cdfg.add_node b ?array ~index:(Cdfg.Affine { coeff = 1; offset }) cls
+           (Cdfg.opclass_name cls) preds))
+    specs;
+  Cdfg.finish b
+
+let gen_res =
+  QCheck.Gen.(
+    map
+      (fun (adders, multipliers, dividers, (logic_units, mem_ports)) ->
+        { Schedule.adders; multipliers; dividers; logic_units; mem_ports })
+      (quad (int_range 1 3) (int_range 1 3) (int_range 1 3)
+         (pair (int_range 1 3) (int_range 1 3))))
+
+let arb_cdfg_res =
+  QCheck.make
+    ~print:(fun (specs, (r : Schedule.resources)) ->
+      Fmt.str "%a@.res: add=%d mul=%d div=%d logic=%d ports=%d" Cdfg.pp
+        (cdfg_of_specs specs) r.Schedule.adders r.multipliers r.dividers
+        r.logic_units r.mem_ports)
+    QCheck.Gen.(pair gen_specs gen_res)
+
+(* The original O(n^2) ALAP pass: every node scans all nodes for successors. *)
+let alap_oracle (g : Cdfg.t) ~deadline =
+  let n = Cdfg.size g in
+  let start = Array.make n max_int in
+  let fin = Array.make n max_int in
+  for i = n - 1 downto 0 do
+    let succ_starts =
+      List.filter_map
+        (fun j -> if List.mem i (Cdfg.node g j).Cdfg.preds then Some start.(j) else None)
+        (List.init n Fun.id)
+    in
+    fin.(i) <- List.fold_left min deadline succ_starts;
+    start.(i) <- fin.(i) - Schedule.latency (Cdfg.node g i).Cdfg.cls
+  done;
+  (start, fin)
+
+let same_schedule (a : Schedule.t) (b : Schedule.t) =
+  a.Schedule.start = b.Schedule.start
+  && a.Schedule.finish = b.Schedule.finish
+  && a.Schedule.makespan = b.Schedule.makespan
+
+let prop_schedule_matches_reference =
+  QCheck.Test.make ~count:1500 ~name:"list schedule = reference, alap = oracle"
+    arb_cdfg_res (fun (specs, res) ->
+      let g = cdfg_of_specs specs in
+      let deadline = (Schedule.asap g).Schedule.makespan in
+      let a = Schedule.alap g ~deadline in
+      (a.Schedule.start, a.Schedule.finish) = alap_oracle g ~deadline
+      && List.for_all
+           (fun res ->
+             let s = Schedule.list_schedule ~res g in
+             same_schedule s (Schedule.list_schedule_reference ~res g)
+             && Schedule.validate g s ~res
+             && Bind.validate g s (Bind.bind g s))
+           [ Schedule.default_resources; Schedule.unlimited; res ])
+
+(* The original FSM construction: one scan of all nodes per state, FUs
+   resolved through [List.assoc_opt]. *)
+let rtl_states_oracle (g : Cdfg.t) (s : Schedule.t) (b : Bind.binding) =
+  List.init (max 1 s.Schedule.makespan) (fun c ->
+      Array.to_list g.Cdfg.nodes
+      |> List.filter_map (fun (nd : Cdfg.node) ->
+             if s.Schedule.start.(nd.Cdfg.id) = c then
+               Option.map
+                 (fun fu -> (Printf.sprintf "fu%d" fu, nd.Cdfg.id))
+                 (List.assoc_opt nd.Cdfg.id b.Bind.node_fu)
+             else None))
+
+let prop_rtl_states_match_oracle =
+  QCheck.Test.make ~count:300 ~name:"RTL FSM states = per-state scan"
+    arb_cdfg_res (fun (specs, res) ->
+      let g = cdfg_of_specs specs in
+      let s = Schedule.list_schedule ~res g in
+      let b = Bind.bind g s in
+      let m = Rtl.generate ~name:"k" g s b [] in
+      List.map (fun (st : Rtl.fsm_state) -> st.Rtl.active) m.Rtl.states
+      = rtl_states_oracle g s b)
+
+(* The original conflict count: a fresh hashtable of bank hits per window. *)
+let conflicts_oracle cfg ~array_size ~unroll ~window accesses =
+  let worst = ref 0 in
+  for i0 = 0 to window - 1 do
+    let tbl = Hashtbl.create 16 in
+    List.iter
+      (fun (a : Cdfg.index) ->
+        for u = 0 to unroll - 1 do
+          let idx =
+            match a with
+            | Cdfg.Affine { coeff; offset } -> (coeff * (i0 + u)) + offset
+            | Cdfg.Unknown -> (i0 * 7) + (u * 13)
+          in
+          let idx = ((idx mod array_size) + array_size) mod array_size in
+          let bk = Mem_partition.bank_of cfg ~array_size idx in
+          Hashtbl.replace tbl bk (1 + Option.value ~default:0 (Hashtbl.find_opt tbl bk))
+        done)
+      accesses;
+    worst := Hashtbl.fold (fun _ v acc -> max v acc) tbl !worst
+  done;
+  max 0 (!worst - 1)
+
+let prop_conflicts_match_oracle =
+  let gen =
+    QCheck.Gen.(
+      let scheme =
+        oneofl
+          Mem_partition.[ Cyclic; Block; Block_cyclic 2; Block_cyclic 4 ]
+      in
+      let index =
+        frequency
+          [ (5, map2 (fun coeff offset -> Cdfg.Affine { coeff; offset })
+                  (int_range (-3) 3) (int_range (-20) 20));
+            (1, return Cdfg.Unknown) ]
+      in
+      pair
+        (pair scheme (oneofl [ 1; 2; 4; 8; 16 ]))
+        (quad (int_range 1 300) (int_range 1 32) (int_range 0 8)
+           (list_size (int_bound 4) index)))
+  in
+  QCheck.Test.make ~count:500 ~name:"bank conflicts = hashtable count"
+    (QCheck.make gen)
+    (fun ((scheme, banks), (array_size, unroll, window, accesses)) ->
+      let cfg = { Mem_partition.scheme; banks } in
+      Mem_partition.conflicts cfg ~array_size ~unroll ~window accesses
+      = conflicts_oracle cfg ~array_size ~unroll ~window accesses)
+
+let test_succs () =
+  let b = Cdfg.builder () in
+  let n0 = Cdfg.add_node b Cdfg.Const "c" [] in
+  let n1 = Cdfg.add_node b Cdfg.Add "a" [ n0; n0 ] in
+  let n2 = Cdfg.add_node b Cdfg.Mul "m" [ n1; n0 ] in
+  let s = Cdfg.succs (Cdfg.finish b) in
+  Alcotest.(check (array (list int))) "successors, duplicates kept"
+    [| [ n1; n1; n2 ]; [ n2 ]; [] |] s
+
+(* Impossible resources fail at once instead of spinning to a runaway. *)
+let test_impossible_resources () =
+  let raises_naming what f =
+    match f () with
+    | _ -> Alcotest.failf "expected Invalid_argument naming %s" what
+    | exception Invalid_argument msg ->
+        checkb ("message names " ^ what) true (Astring.String.is_infix ~affix:what msg)
+  in
+  let b = Cdfg.builder () in
+  let a = Cdfg.add_node b Cdfg.Add "a" [] in
+  let _ = Cdfg.add_node b Cdfg.Div "d" [ a ] in
+  let g = Cdfg.finish b in
+  raises_naming "div" (fun () ->
+      Schedule.list_schedule ~res:{ Schedule.default_resources with dividers = 0 } g);
+  raises_naming "add" (fun () ->
+      Schedule.list_schedule ~res:{ Schedule.default_resources with adders = -1 } g);
+  raises_naming "array a" (fun () ->
+      Schedule.list_schedule ~res:{ Schedule.default_resources with mem_ports = 0 }
+        (diamond ()))
+
+(* [validate] enforces what the scheduler does: a divider stays busy for
+   its full latency, and loads and stores share each array's ports. *)
+let test_validate_occupancy () =
+  let res = { Schedule.default_resources with dividers = 1; mem_ports = 1 } in
+  let b = Cdfg.builder () in
+  let _ = Cdfg.add_node b Cdfg.Div "d1" [] in
+  let _ = Cdfg.add_node b Cdfg.Div "d2" [] in
+  let divs = Cdfg.finish b in
+  let sched starts =
+    let finish =
+      Array.mapi
+        (fun i st -> st + Schedule.latency (Cdfg.node divs i).Cdfg.cls)
+        starts
+    in
+    { Schedule.start = starts; finish; makespan = Array.fold_left max 0 finish }
+  in
+  checkb "overlapping divides rejected" false (Schedule.validate divs (sched [| 0; 1 |]) ~res);
+  checkb "back-to-back divides accepted" true (Schedule.validate divs (sched [| 0; 12 |]) ~res);
+  let b = Cdfg.builder () in
+  Cdfg.declare_array b "a" 8;
+  let _ = Cdfg.add_node b ~array:"a" Cdfg.Load "ld" [] in
+  let _ = Cdfg.add_node b ~array:"a" Cdfg.Store "st" [] in
+  let mem = Cdfg.finish b in
+  let s = { Schedule.start = [| 0; 0 |]; finish = [| 2; 1 |]; makespan = 2 } in
+  checkb "two accesses on one port rejected" false (Schedule.validate mem s ~res);
+  checkb "two ports suffice" true
+    (Schedule.validate mem s ~res:{ res with mem_ports = 2 })
+
+(* Scaling gate, counted rather than timed: words allocated by one
+   synthesis of a 256x256 matmul candidate at unroll 64, 128 and 256 (the
+   DSE's resources: 2*unroll adders and multipliers, max 16 unroll banks).
+   Allocation is deterministic on one domain, so the log-log slope cannot
+   flake on a noisy host; quadratic stages show up as a slope near 2. *)
+let test_synthesis_alloc_scaling () =
+  let module TE = Everest_dsl.Tensor_expr in
+  let module Hw = Everest_compiler.Hw_lower in
+  let e = TE.matmul (TE.input "a" [ 256; 256 ]) (TE.input "b" [ 256; 256 ]) in
+  let words unroll =
+    let dfg = Hw.dfg_of_expr ~unroll e in
+    let c =
+      { Hls.default_constraints with
+        Hls.unroll; trips = Hw.trips e ~unroll; max_banks = max 16 unroll;
+        res =
+          { Schedule.default_resources with
+            Schedule.adders = 2 * unroll; multipliers = 2 * unroll; mem_ports = 2 } }
+    in
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Hls.synthesize ~c dfg));
+    Gc.minor_words () -. before
+  in
+  let pts = List.map (fun u -> (log (float_of_int u), log (words u))) [ 64; 128; 256 ] in
+  let mean f = List.fold_left (fun a p -> a +. f p) 0.0 pts /. 3.0 in
+  let mx = mean fst and my = mean snd in
+  let slope =
+    mean (fun (x, y) -> (x -. mx) *. (y -. my)) /. mean (fun (x, _) -> (x -. mx) ** 2.0)
+  in
+  if slope > 1.15 then
+    Alcotest.failf "synthesis allocation grows with slope %.2f > 1.15 (words: %s)"
+      slope
+      (String.concat " / " (List.map (fun (_, y) -> Printf.sprintf "%.0f" (exp y)) pts))
+
 let () =
   Alcotest.run "everest_hls"
     [
@@ -287,7 +534,11 @@ let () =
           Alcotest.test_case "list valid" `Quick test_list_schedule_valid;
           Alcotest.test_case "resource pressure" `Quick test_resource_pressure_monotone;
           Alcotest.test_case "min II" `Quick test_min_ii;
-          Alcotest.test_case "pipelining" `Quick test_pipelined_cycles ] );
+          Alcotest.test_case "pipelining" `Quick test_pipelined_cycles;
+          Alcotest.test_case "successor lists" `Quick test_succs;
+          Alcotest.test_case "impossible resources" `Quick test_impossible_resources;
+          Alcotest.test_case "validate occupancy" `Quick test_validate_occupancy;
+          Alcotest.test_case "alloc scaling" `Quick test_synthesis_alloc_scaling ] );
       ( "bind",
         [ Alcotest.test_case "shares FUs" `Quick test_binding_shares_fus;
           Alcotest.test_case "parallel needs two" `Quick test_binding_parallel_needs_two ] );
@@ -307,5 +558,7 @@ let () =
           Alcotest.test_case "end-to-end" `Quick test_synthesize_ir_end_to_end ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_schedule_valid; prop_partition_never_hurts ] );
+          [ prop_schedule_valid; prop_partition_never_hurts;
+            prop_schedule_matches_reference; prop_rtl_states_match_oracle;
+            prop_conflicts_match_oracle ] );
     ]
