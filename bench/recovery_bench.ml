@@ -3,17 +3,20 @@
      dune exec bench/recovery_bench.exe              # full sweep, writes BENCH_e19.json
      dune exec bench/recovery_bench.exe -- --quick   # reduced sweep for CI
 
-   Write-ahead journaling is only worth having if the fault-free run
-   barely notices it, so the headline gate is the wall-time overhead of
-   a journaled+snapshotted e16-scale serving run over the identical
-   unjournaled run — <5% in the full sweep.  The sweep also records what
+   Journaling is only worth having if the fault-free run barely notices
+   it, so the headline gate is the wall-time overhead of a
+   journaled+snapshotted e16-scale serving run over the identical
+   unjournaled run — <5% in the full sweep — with an absolute budget
+   beside it: recovery work of at most 1 µs per request.  The journal is
+   a hash chain: every event is mixed into a rolling digest and one
+   chain record is sealed per chunk of events.  The sweep also records what
    the snapshot interval costs and buys.  Resume re-executes the run
    from t=0 against the journal, with snapshots as small integrity
    anchors, so snapshot bytes stay near zero at every interval and
    resume time does not depend on the interval: it replays the whole
    journal prefix up to the crash.  The sweep crashes the fabric halfway
    through the journal at each interval, resumes, and reports recovery
-   time plus the replayed-record count — and byte-compares every resumed
+   time plus the replay-verified event count — and byte-compares every resumed
    report against the uninterrupted run, so the bench doubles as an
    end-to-end identity check at bench scale. *)
 
@@ -28,8 +31,8 @@ module Json = Everest_telemetry.Json
    (frequency scaling and co-tenant contention change the cycles a fixed
    workload costs), so an A-vs-B comparison of separately timed runs
    cannot resolve the gate.  The gated overhead is therefore measured by
-   ATTRIBUTION: the fabric clocks its recovery code paths (record
-   encoding, journal appends, anchor writes) into
+   ATTRIBUTION: the fabric clocks its recovery code paths (event
+   digests, chain-record appends, anchor writes) into
    [Store.work_s], and the fraction work/(total-work) comes from a
    single run — numerator and denominator share whatever noise
    multiplier the host applied, so it cancels.  The A/B median over
@@ -40,13 +43,14 @@ type row = {
   r_interval_s : float;
   r_run_s : float;  (* best journaled run wall time *)
   r_overhead : float;  (* median attributed work/(total-work) fraction *)
+  r_us_per_request : float;  (* median attributed work per request, µs *)
   r_ab_overhead : float;  (* median interleaved-pair A/B ratio - 1 (noisy) *)
   r_records : int;
   r_journal_kib : float;
   r_snapshots : int;
   r_snapshot_kib : float;
   r_resume_s : float;  (* resume wall time (replay from t=0) after a mid-run kill *)
-  r_replayed : int;  (* journal records replay-verified on resume *)
+  r_replayed : int;  (* events replay-verified on resume *)
   r_identical : bool;  (* resumed report == uninterrupted report *)
 }
 
@@ -54,6 +58,7 @@ let row_json r =
   Json.Obj
     [ ("snapshot_every_s", Json.Num r.r_interval_s); ("run_s", Json.Num r.r_run_s);
       ("overhead_frac", Json.Num r.r_overhead);
+      ("recovery_us_per_request", Json.Num r.r_us_per_request);
       ("ab_overhead_frac", Json.Num r.r_ab_overhead);
       ("journal_records", Json.int r.r_records);
       ("journal_kib", Json.Num r.r_journal_kib);
@@ -74,7 +79,7 @@ let () =
   let shards = if quick then 2 else 16 in
   let rate = if quick then 2000.0 else 12800.0 in
   let horizon = if quick then 0.3 else 1.0 in
-  let reps = if quick then 2 else 3 in
+  let reps = if quick then 2 else 5 in
   let intervals = if quick then [ 0.05; 0.1 ] else [ 0.05; 0.1; 0.2; 0.5 ] in
   let seed = 19 in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "everest-bench-e19" in
@@ -102,8 +107,8 @@ let () =
   (* ---- baseline reference output (also warms the process) ---- *)
   let plain_r = run () in
   let plain = Util.render plain_r in
-  Printf.printf "unjournaled run: %d requests\n%!"
-    (List.length plain_r.Srv.Fabric.f_log);
+  let requests = List.length plain_r.Srv.Fabric.f_log in
+  Printf.printf "unjournaled run: %d requests\n%!" requests;
   let global_plain = ref infinity in
 
   (* ---- sweep: journaled run + mid-run kill per snapshot interval ---- *)
@@ -118,31 +123,29 @@ let () =
            work/(total-work) fraction; the per-pair A/B ratio rides
            along as the noisy cross-check. *)
         let plain_best = ref infinity and j_best = ref infinity in
-        let ratios = ref [] and attrs = ref [] in
+        let ratios = ref [] and attrs = ref [] and works = ref [] in
         let j_out = ref None in
         for _ = 1 to reps do
           let tp, _ = Util.time_one (fun () -> run ()) in
           if tp < !plain_best then plain_best := tp;
-          let tj, (out, work_s) =
-            Util.time_one (fun () ->
-                let store =
-                  Rec.Store.open_store ~fresh:true ~dir ~fingerprint:fp ()
-                in
-                let r = run ~recovery:(recovery store) () in
-                let out =
-                  ( Util.render r,
-                    store.Rec.Store.records_written,
-                    store.Rec.Store.snapshots_written,
-                    store.Rec.Store.journal_bytes,
-                    store.Rec.Store.snapshot_bytes )
-                in
-                let work_s = store.Rec.Store.work_s in
-                Rec.Store.close store;
-                (out, work_s))
+          (* only the run is timed, as on the plain side: rendering the
+             report inside the timed block would count the renderer as
+             journaling cost in the A/B ratio *)
+          let store = Rec.Store.open_store ~fresh:true ~dir ~fingerprint:fp () in
+          let tj, r = Util.time_one (fun () -> run ~recovery:(recovery store) ()) in
+          let out =
+            ( Util.render r,
+              store.Rec.Store.records_written,
+              store.Rec.Store.snapshots_written,
+              store.Rec.Store.journal_bytes,
+              store.Rec.Store.snapshot_bytes )
           in
+          let work_s = store.Rec.Store.work_s in
+          Rec.Store.close store;
           if tj < !j_best then j_best := tj;
           ratios := (tj /. tp) :: !ratios;
           attrs := (work_s /. Float.max 1e-9 (tj -. work_s)) :: !attrs;
+          works := work_s :: !works;
           j_out := Some out
         done;
         let plain_s = !plain_best and run_s = !j_best in
@@ -176,6 +179,8 @@ let () =
           { r_interval_s = interval;
             r_run_s = run_s;
             r_overhead = attr_frac;
+            r_us_per_request =
+              1e6 *. Util.median !works /. float_of_int (max 1 requests);
             r_ab_overhead = ab_ratio -. 1.0;
             r_records = records;
             r_journal_kib = float_of_int jbytes /. 1024.0;
@@ -186,12 +191,12 @@ let () =
             r_identical = identical }
         in
         Printf.printf
-          "  every %.3fs: plain %s, run %s, attributed %+.2f%% (A/B median \
-           %+.1f%%), %d records / %d snapshots, resume %s replaying %d, \
-           identical=%b\n\
+          "  every %.3fs: plain %s, run %s, attributed %+.2f%% = %.3f us/req \
+           (A/B median %+.1f%%), %d records / %d snapshots, resume %s \
+           replaying %d events, identical=%b\n\
            %!"
           interval (Util.time_str plain_s) (Util.time_str run_s)
-          (100.0 *. r.r_overhead)
+          (100.0 *. r.r_overhead) r.r_us_per_request
           (100.0 *. r.r_ab_overhead)
           records snapshots (Util.time_str resume_s) r.r_replayed identical;
         r)
@@ -202,12 +207,13 @@ let () =
   print_newline ();
   Util.table
     ~cols:
-      [ "snapshot every"; "run"; "overhead"; "A/B"; "records"; "journal";
+      [ "snapshot every"; "run"; "overhead"; "us/req"; "A/B"; "records"; "journal";
         "snapshots"; "snap KiB"; "resume"; "replayed" ]
     (List.map
        (fun r ->
          [ Printf.sprintf "%.3fs" r.r_interval_s; Util.time_str r.r_run_s;
            Printf.sprintf "%+.2f%%" (100.0 *. r.r_overhead);
+           Printf.sprintf "%.3f" r.r_us_per_request;
            Printf.sprintf "%+.1f%%" (100.0 *. r.r_ab_overhead);
            string_of_int r.r_records;
            Printf.sprintf "%.0f KiB" r.r_journal_kib;
@@ -221,20 +227,29 @@ let () =
      journaling itself (not snapshot serialization) dominates, i.e. the
      steady-state tax every fault-free run pays.  Quick CI runs at a
      fraction of e16 scale, where the per-event baseline is much lighter,
-     so they only sanity-bound the fraction. *)
+     so they only sanity-bound the fraction.  The absolute budget, 1 µs
+     of recovery work per request, is ~5% of the ~22 µs a plain e16-scale
+     request costs on the 2-CPU reference VM; a relative gate alone could
+     pass by slowing the denominator. *)
   let overhead_budget = if quick then 0.5 else 0.05 in
+  let us_budget = if quick then None else Some 1.0 in
   let steady =
     List.fold_left
       (fun acc r -> if r.r_interval_s > acc.r_interval_s then r else acc)
       (List.hd rows) rows
   in
   let overhead_ok = steady.r_overhead < overhead_budget in
+  let us_ok =
+    match us_budget with
+    | Some b -> steady.r_us_per_request < b
+    | None -> true
+  in
   let identity_ok = List.for_all (fun r -> r.r_identical) rows in
   (* shorter interval must not replay a longer tail than the longest one *)
   let shortest = List.hd rows in
   let longest = List.nth rows (List.length rows - 1) in
   let tail_ok = shortest.r_replayed <= longest.r_replayed in
-  let passed = overhead_ok && identity_ok && tail_ok in
+  let passed = overhead_ok && us_ok && identity_ok && tail_ok in
   let json =
     Json.Obj
       [ ("shards", Json.int shards); ("rate_rps", Json.Num rate);
@@ -242,6 +257,9 @@ let () =
         ("sweep", Json.Arr (List.map row_json rows));
         ("steady_state_overhead_frac", Json.Num steady.r_overhead);
         ("overhead_budget", Json.Num overhead_budget);
+        ("recovery_us_per_request", Json.Num steady.r_us_per_request);
+        ("recovery_us_per_request_budget",
+         match us_budget with Some b -> Json.Num b | None -> Json.Null);
         ("byte_identity", Json.Bool identity_ok); ("quick", Json.Bool quick);
         ("passed", Json.Bool passed) ]
   in
@@ -249,11 +267,13 @@ let () =
     ~expected:
       (Printf.sprintf
          "Expected shape: journaling + snapshotting tax the fault-free run by\n\
-          a few percent (gated <%.0f%%), anchor snapshots cost under a KiB at\n\
+          a few percent (gated <%.0f%%, and <1 us of recovery work per request\n\
+          in the full sweep), anchor snapshots cost under a KiB at\n\
           every interval, resume replays the whole journal prefix (so its\n\
           time does not fall with a shorter interval), and every resumed\n\
           report is byte-identical to the uninterrupted same-seed run.\n"
          (100.0 *. overhead_budget))
-    "E19 FAILED: overhead_ok=%b (%.3f at %.3fs interval) identity_ok=%b \
-     tail_ok=%b"
-    overhead_ok steady.r_overhead steady.r_interval_s identity_ok tail_ok
+    "E19 FAILED: overhead_ok=%b (%.3f at %.3fs interval) us_ok=%b (%.3f \
+     us/request) identity_ok=%b tail_ok=%b"
+    overhead_ok steady.r_overhead steady.r_interval_s us_ok
+    steady.r_us_per_request identity_ok tail_ok

@@ -433,8 +433,8 @@ let serve_cmd =
 
 (* ---- recover ---------------------------------------------------------------- *)
 
-(* Crash-recovery drill: run the serving fabric with write-ahead
-   journaling on, kill it at a seeded mid-run journal record, resume by
+(* Crash-recovery drill: run the serving fabric with journaling on, kill
+   it at a seeded mid-run journal (chain) record, resume by
    re-executing from t=0 against the journal and the newest snapshot
    anchor, and byte-compare the resumed report against the uninterrupted
    same-seed run; then the same for the workflow executor, which resumes
@@ -733,7 +733,7 @@ let recover_cmd =
     emit ~format ~out ~checks ~drill:"recover" ~passed json (fun () ->
         Printf.printf
           "fabric: %d journal records, %d snapshots; killed after record \
-           %d, resumed by replay (anchor snapshot %d, %d records verified) \
+           %d, resumed by replay (anchor snapshot %d, %d events verified) \
            in %.3fs cpu\n"
           records snapshots after report.Srv.Fabric.rr_snapshot_index
           report.Srv.Fabric.rr_replayed recovery_s;

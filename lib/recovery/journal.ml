@@ -1,81 +1,43 @@
-(* Write-ahead journal record framing.
+(* Journal record framing.
 
    A journal segment is a text file:
 
-     EVEREST-JRNL v1
+     EVEREST-JRNL v2
      <payload> #<8 hex chars of fnv1a32(payload)>
      ...
 
-   Each record carries its own checksum so a torn tail (the crash wrote
-   half a line) is detected record-locally: readers stop at the first
-   record that fails its checksum and report how many bytes were valid,
-   letting the store truncate the tail instead of rejecting the whole
-   segment. *)
+   The payloads are {!Replay}'s chain records, one per chunk of events,
+   each sealing the run's rolling digest so far.  Each record carries its
+   own checksum so a torn tail (the crash wrote half a line) is detected
+   record-locally: readers stop at the first record that fails its
+   checksum and report how many bytes were valid, letting the store
+   truncate the tail instead of rejecting the whole segment.  A segment
+   whose header names another journal version is never read as torn: it
+   raises {!Foreign_version}, and the store refuses it untouched. *)
 
-let magic_line = "EVEREST-JRNL v1"
+let version = 2
+
+let magic_prefix = "EVEREST-JRNL v"
+
+let magic_line = magic_prefix ^ string_of_int version
 
 (* Raised by the store when an armed crash point fires mid-append. *)
 exception Crashed
 
-(* FNV-1a 32-bit: record checksums are a torn-write detector on the hot
-   append path, not a cryptographic seal — a cheap in-OCaml hash beats an
-   MD5 round-trip per record by an order of magnitude. *)
-let checksum_raw payload =
-  let h = ref 0x811c9dc5 in
-  for i = 0 to String.length payload - 1 do
-    h :=
-      (!h lxor Char.code (String.unsafe_get payload i))
-      * 0x01000193 land 0xffffffff
-  done;
-  !h
-
-let hex_digits = "0123456789abcdef"
-
+(* FNV-1a 32-bit as 8 hex digits: record checksums are a torn-write
+   detector, not a cryptographic seal. *)
 let checksum payload =
-  let h = checksum_raw payload in
-  String.init 8 (fun i -> hex_digits.[(h lsr ((7 - i) * 4)) land 0xf])
+  let h = ref 0x811c9dc5 in
+  String.iter
+    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
+    payload;
+  Printf.sprintf "%08x" !h
 
-(* " #xxxxxxxx\n" for the given payload. *)
-let trailer payload =
-  let b = Bytes.create 11 in
-  Bytes.unsafe_set b 0 ' ';
-  Bytes.unsafe_set b 1 '#';
-  let h = checksum_raw payload in
-  for i = 0 to 7 do
-    Bytes.unsafe_set b (2 + i)
-      (String.unsafe_get hex_digits ((h lsr ((7 - i) * 4)) land 0xf))
-  done;
-  Bytes.unsafe_set b 10 '\n';
-  b
-
-(* One append per simulated event makes this framing hot; building the
-   line with Bytes instead of Printf keeps it under the journaling
-   overhead budget. *)
+(* "<payload> #<checksum>\n" *)
 let encode_record payload =
   if String.contains payload '\n' then
     invalid_arg "Journal.encode_record: payload contains newline";
-  let n = String.length payload in
-  let b = Bytes.create (n + 11) in
-  Bytes.blit_string payload 0 b 0 n;
-  Bytes.blit (trailer payload) 0 b n 11;
-  Bytes.unsafe_to_string b
-
-(* Write a record straight to [oc] — payload then trailer — skipping the
-   concatenated line [encode_record] would allocate.  The trailer goes
-   out char by char into the channel buffer, so the hot append path
-   allocates nothing.  Returns the bytes written. *)
-let output_record oc payload =
-  if String.contains payload '\n' then
-    invalid_arg "Journal.output_record: payload contains newline";
-  output_string oc payload;
-  output_char oc ' ';
-  output_char oc '#';
-  let h = checksum_raw payload in
-  for i = 7 downto 0 do
-    output_char oc (String.unsafe_get hex_digits ((h lsr (i * 4)) land 0xf))
-  done;
-  output_char oc '\n';
-  String.length payload + 11
+  payload ^ " #" ^ checksum payload ^ "\n"
 
 let decode_record line =
   match String.rindex_opt line '#' with
@@ -94,8 +56,14 @@ type segment = {
   sg_valid_bytes : int;      (* prefix length covering magic + valid records *)
 }
 
-(* Lenient read: a missing file is an empty segment, a bad magic line is
-   fully torn, and decoding stops at the first invalid record. *)
+(* Raised by [read_segment] on a complete header line naming another
+   journal version. *)
+exception Foreign_version of int
+
+(* Lenient read: a missing file is an empty segment, a missing or
+   unterminated magic line is fully torn, and decoding stops at the first
+   invalid record.  A header of another version raises
+   {!Foreign_version}: it is somebody else's data, not a torn write. *)
 let read_segment path =
   if not (Sys.file_exists path) then
     { sg_records = []; sg_torn = false; sg_valid_bytes = 0 }
@@ -108,7 +76,7 @@ let read_segment path =
     in
     let lines = String.split_on_char '\n' raw in
     match lines with
-    | m :: rest when String.equal m magic_line ->
+    | m :: rest when String.equal m magic_line && rest <> [] ->
         let valid = ref (String.length magic_line + 1) in
         let torn = ref false in
         let records = ref [] in
@@ -128,5 +96,10 @@ let read_segment path =
           sg_torn = !torn;
           sg_valid_bytes = !valid;
         }
+    | m :: _ :: _ when String.starts_with ~prefix:magic_prefix m -> (
+        let n = String.length magic_prefix in
+        match int_of_string_opt (String.sub m n (String.length m - n)) with
+        | Some found when found <> version -> raise (Foreign_version found)
+        | _ -> { sg_records = []; sg_torn = true; sg_valid_bytes = 0 })
     | _ -> { sg_records = []; sg_torn = true; sg_valid_bytes = 0 }
   end

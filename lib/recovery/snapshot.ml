@@ -14,7 +14,7 @@
 
 let magic = "EVEREST-SNAP"
 
-let version = 1
+let version = 2
 
 type error =
   | Corrupt of string         (* digest mismatch / bad framing *)
@@ -28,15 +28,10 @@ let error_to_string = function
         expected
   | Truncated why -> Printf.sprintf "truncated snapshot: %s" why
 
-(* The envelope header alone — writers that already hold the body as its
-   own string can emit header and body separately instead of building the
-   concatenated envelope (bodies run to hundreds of KiB). *)
-let header body =
-  Printf.sprintf "%s v%d\n%s\n%d\n" magic version
+let encode body =
+  Printf.sprintf "%s v%d\n%s\n%d\n%s" magic version
     (Digest.to_hex (Digest.string body))
-    (String.length body)
-
-let encode body = header body ^ body
+    (String.length body) body
 
 exception Bad of error
 

@@ -1,21 +1,25 @@
 (* Durable recovery store: one directory holding a config fingerprint,
-   numbered snapshots and numbered write-ahead journal segments.
+   numbered snapshots and numbered journal segments.
 
      dir/meta                EVEREST-META v1 + config fingerprint
      dir/snap-000042.esnap   snapshot 42 (Snapshot envelope)
-     dir/journal-000042.ejrnl  records appended after snapshot 42
+     dir/journal-000042.ejrnl  chain records appended after snapshot 42
 
    Writing snapshot [n] atomically (tmp + rename) then starting segment
-   [n] keeps the invariant that segment [n] only ever holds events that
-   happened after snapshot [n].  Restore re-executes the run from t=0
+   [n] keeps the invariant that segment [n] only ever holds records
+   sealed after snapshot [n].  Restore re-executes the run from t=0
    ({!Replay}): the whole journal, segments [0..last], is the replay
    tail and the newest valid snapshot is the integrity anchor checked on
    the way.  Snapshots that fail validation are skipped — restore falls
-   back to the previous anchor, it never trusts damaged bytes.
+   back to the previous anchor, it never trusts damaged bytes.  Journal
+   segments are stricter: only the last one may have a torn tail (it is
+   truncated to its valid prefix); a torn earlier segment is [Corrupt]
+   and a segment of another journal version is [Version_skew], and
+   neither is rewritten.
 
    Crash injection for drills and the QCheck byte-identity property is
    armed here: after N appended records the store flushes (the record
-   itself is durable — it is a write-AHEAD log) and raises
+   that triggered the crash is on disk) and raises
    {!Journal.Crashed}. *)
 
 type error =
@@ -57,9 +61,10 @@ type t = {
   mutable journal_bytes : int;
   mutable snapshot_bytes : int;
   mutable work_s : float;
-      (* Wall time the client attributes to recovery work (encoding,
-         appends, snapshots).  Benches gate on [work_s /. (total -. work_s)]: both
-         sides of that fraction come from the same run, so host-noise
+      (* Wall time the client attributes to recovery work (digesting
+         events, appending chain records, writing anchors).  Benches
+         gate on [work_s /. (total -. work_s)]: both sides of that
+         fraction come from the same run, so host-noise
          multipliers (frequency scaling, co-tenant contention) cancel,
          unlike an A/B comparison of separate timed runs. *)
 }
@@ -181,14 +186,15 @@ let append t payload =
         open_segment t t.seg_index ~truncate:false;
         Option.get t.chan
   in
-  let written = Journal.output_record oc payload in
+  let line = Journal.encode_record payload in
+  output_string oc line;
   t.records_written <- t.records_written + 1;
-  t.journal_bytes <- t.journal_bytes + written;
+  t.journal_bytes <- t.journal_bytes + String.length line;
   match t.crash_after with
   | Some n when n <= 1 ->
       t.crash_after <- None;
-      (* WAL contract: the record that triggers the crash is already
-         durable — flush before dying. *)
+      (* the record that triggers the crash is on disk: flush before
+         dying *)
       flush oc;
       raise Journal.Crashed
   | Some n ->
@@ -196,18 +202,13 @@ let append t payload =
   | None -> ()
 
 let write_snapshot t ~index body =
-  let hdr = Snapshot.header body in
+  let raw = Snapshot.encode body in
   let path = snap_path t index in
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc hdr;
-      output_string oc body);
+  write_file tmp raw;
   Sys.rename tmp path;
   t.snapshots_written <- t.snapshots_written + 1;
-  t.snapshot_bytes <- t.snapshot_bytes + String.length hdr + String.length body;
+  t.snapshot_bytes <- t.snapshot_bytes + String.length raw;
   open_segment t index ~truncate:true
 
 let load_snapshot t ~index =
@@ -223,30 +224,50 @@ type resume = {
   r_index : int;                    (* its index *)
   r_fallbacks : int;                (* newer snapshots rejected as invalid *)
   r_skipped : (int * error) list;   (* what was wrong with each of them *)
-  r_tail : string list;             (* journal records to replay *)
+  r_tail : string list;             (* chain records to re-derive *)
   r_torn : bool;                    (* a torn segment tail was truncated *)
   r_next_snapshot_index : int;      (* where the resumed run snapshots next *)
 }
 
-(* Truncate a torn segment to its valid prefix so the resumed run can
-   keep appending to a clean file. *)
-let heal_segment t i =
-  let seg = Journal.read_segment (seg_path t i) in
-  if seg.Journal.sg_torn then begin
-    let raw = if Sys.file_exists (seg_path t i) then read_file (seg_path t i) else "" in
-    let keep =
-      if seg.Journal.sg_valid_bytes = 0 then Journal.magic_line ^ "\n"
-      else String.sub raw 0 seg.Journal.sg_valid_bytes
-    in
-    write_file (seg_path t i) keep
-  end;
-  seg
+(* Read every journal segment without touching it: a header of another
+   journal version is [Version_skew], and a torn segment that is not the
+   last is [Corrupt] — only a crash mid-append tears a tail, and that
+   can only be the newest segment's. *)
+let read_segments t =
+  let segs = segment_indices t in
+  let last = List.fold_left max (-1) segs in
+  List.map
+    (fun i ->
+      let seg =
+        try Journal.read_segment (seg_path t i)
+        with Journal.Foreign_version found ->
+          raise
+            (Recovery_error
+               (Version_skew { found; expected = Journal.version }))
+      in
+      if seg.Journal.sg_torn && i <> last then
+        raise
+          (Recovery_error
+             (Corrupt (Printf.sprintf "journal segment %d is torn" i)));
+      (i, seg))
+    segs
+
+(* Truncate the torn last segment to its valid prefix so the resumed run
+   can keep appending to a clean file. *)
+let heal_segment t i (seg : Journal.segment) =
+  let path = seg_path t i in
+  let keep =
+    if seg.Journal.sg_valid_bytes = 0 then Journal.magic_line ^ "\n"
+    else String.sub (read_file path) 0 seg.Journal.sg_valid_bytes
+  in
+  write_file path keep
 
 (* Every client restores by deterministic re-execution verified against
    the journal ({!Replay}), so the tail is the whole journal from segment
    0 and the chosen snapshot serves as the integrity anchor. *)
 let plan_resume t =
   close t;
+  let segs = read_segments t in
   let snaps = List.rev (snapshot_indices t) in  (* newest first *)
   if snaps = [] then raise (Recovery_error No_snapshot);
   let rec pick skipped = function
@@ -257,20 +278,15 @@ let plan_resume t =
         | Error e -> pick ((i, e) :: skipped) rest)
   in
   let index, state, skipped = pick [] snaps in
-  let segs = segment_indices t in
-  let torn = ref false in
-  let tail =
-    List.concat_map
-      (fun i ->
-        let seg = heal_segment t i in
-        if seg.Journal.sg_torn then torn := true;
-        seg.Journal.sg_records)
-      segs
-  in
+  let torn = List.exists (fun (_, seg) -> seg.Journal.sg_torn) segs in
+  List.iter
+    (fun (i, seg) -> if seg.Journal.sg_torn then heal_segment t i seg)
+    segs;
+  let tail = List.concat_map (fun (_, seg) -> seg.Journal.sg_records) segs in
   (* Keep appending to the newest segment on disk; the next snapshot
      gets a fresh index above everything present (including rejected
      snapshots, which are left in place as evidence). *)
-  let last_seg = List.fold_left max index segs in
+  let last_seg = List.fold_left (fun acc (i, _) -> max acc i) index segs in
   open_segment t last_seg ~truncate:false;
   let next_snap = 1 + List.fold_left max index (List.map fst skipped) in
   {
@@ -279,7 +295,7 @@ let plan_resume t =
     r_fallbacks = List.length skipped;
     r_skipped = skipped;
     r_tail = tail;
-    r_torn = !torn;
+    r_torn = torn;
     r_next_snapshot_index = next_snap;
   }
 

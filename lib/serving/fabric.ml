@@ -19,25 +19,26 @@
    state codec (replay is {!Everest_recovery.Replay}, shared with
    the workflow executor):
 
-   - Journal: when recovery is on, firing an event first appends its
-     encoded form (id, fire time, event) to the write-ahead journal,
-     then performs it.  The payload is encoded only then, and only when
-     recovery is on.
+   - Journal: when recovery is on, firing an event performs it, then
+     mixes its fields (id, fire time, kind, shard, batch, request,
+     outcome) into the replay's rolling digest.  Every
+     [Replay.chunk_events] events, at each anchor and at the end of the
+     run the digest is sealed into one chain record.  Nothing is
+     encoded per event.
    - Resume re-executes the run from t=0 into a freshly built fabric and
-     byte-compares each re-derived event against the journal;
-     divergence is a typed error, not a wrong answer.  When the journal
-     runs dry the run continues live.
+     compares each re-derived chain record with the journal; divergence
+     is a typed error naming the first chunk that differs, not a wrong
+     answer.  When the journal runs dry the run continues live.
    - Snapshots are small integrity anchors: at tick boundaries due under
-     [rv_snapshot_every_s] the boundary count, sim time and scalar run
-     counters are written, and a resumed run checks the newest valid
-     anchor as it passes that boundary. *)
+     [rv_snapshot_every_s] the boundary count and a digest of sim time
+     and the scalar run counters are written, and a resumed run checks
+     the newest valid anchor as it passes that boundary. *)
 
 module Slo = Everest_observe.Slo
 module Orch = Everest_runtime.Orchestrator
 module Desim = Everest_platform.Desim
 module Faults = Everest_resilience.Faults
 module Metrics = Everest_telemetry.Metrics
-module Codec = Everest_recovery.Codec
 module Store = Everest_recovery.Store
 module Replay = Everest_recovery.Replay
 module Watch = Everest_watch.Watch
@@ -131,7 +132,7 @@ type restore_report = {
   rr_snapshot_index : int;  (* snapshot whose anchor the replay checked *)
   rr_fallbacks : int;  (* newer snapshots rejected as invalid *)
   rr_skipped : (int * string) list;  (* index, why it was rejected *)
-  rr_replayed : int;  (* journal records replay-verified *)
+  rr_replayed : int;  (* events replay-verified *)
   rr_torn_tail : bool;  (* a half-written record was truncated *)
 }
 
@@ -152,8 +153,8 @@ let fingerprint (config : config) ~tenants ~horizon =
 (* ---- run state ------------------------------------------------------------------ *)
 
 (* Typed fabric events.  Everything Desim will ever run on the fabric
-   clock is one of these — plain data, so each one encodes to a journal
-   record that a resumed run re-derives and compares. *)
+   clock is one of these — plain data, so each one mixes into the
+   journal's digest, which a resumed run re-derives and compares. *)
 type ev =
   | Ev_arrival of Workload.request  (* fresh arrival passing admission *)
   | Ev_complete of {
@@ -187,7 +188,6 @@ type state = {
   (* recovery *)
   st_recovery : (recovery * Replay.t) option;
   mutable st_ev_seq : int;  (* next event id *)
-  st_scratch : Codec.writer;  (* reused for per-event record encoding *)
   mutable st_last_snap : float;
   mutable st_boundary : int;  (* anchor boundaries passed *)
   st_watch : Watch.t option;
@@ -212,70 +212,81 @@ let tenant_monitors st tenant =
 
 let counter st ?labels name = Metrics.counter ~registry:st.st_registry ?labels name
 
-(* ---- journal records ---------------------------------------------------------- *)
+(* ---- event digests ------------------------------------------------------------ *)
 
-let encode_request w (rq : Workload.request) =
-  Codec.int w rq.Workload.rq_id;
-  Codec.str w rq.Workload.rq_tenant;
-  Codec.str w rq.Workload.rq_kernel;
-  Codec.int w rq.Workload.rq_user;
-  Codec.int w rq.Workload.rq_seq;
-  Codec.float w rq.Workload.rq_arrival_s;
-  Codec.assoc_floats w rq.Workload.rq_features
+let rec mix_features d = function
+  | [] -> ()
+  | (k, v) :: tl ->
+      Replay.mix_string d k;
+      Replay.mix_float d v;
+      mix_features d tl
 
-let encode_entry w (e : Orch.request_log) =
-  Codec.int w e.Orch.req;
-  Codec.str w e.Orch.requested;
-  Codec.str w e.Orch.variant;
-  Codec.float w e.Orch.latency_s;
-  Codec.int w e.Orch.attempts;
-  Codec.bool w e.Orch.degraded;
-  Codec.bool w e.Orch.ok;
-  Codec.float w e.Orch.t_done
+let mix_request d (rq : Workload.request) =
+  Replay.mix_int d rq.Workload.rq_id;
+  Replay.mix_string d rq.Workload.rq_tenant;
+  Replay.mix_string d rq.Workload.rq_kernel;
+  Replay.mix_int d rq.Workload.rq_user;
+  Replay.mix_int d rq.Workload.rq_seq;
+  Replay.mix_float d rq.Workload.rq_arrival_s;
+  Replay.mix_int d (List.length rq.Workload.rq_features);
+  mix_features d rq.Workload.rq_features
 
-let encode_batch w (b : Batcher.batch) =
-  Codec.str w b.Batcher.b_key;
-  Codec.float w b.Batcher.b_formed_s;
-  Codec.list w b.Batcher.b_requests ~item:encode_request
+(* A batch names its members by id: a request is immutable, and all of
+   its fields entered the digest with its arrival event. *)
+let rec mix_ids d = function
+  | [] -> ()
+  | (rq : Workload.request) :: tl ->
+      Replay.mix_int d rq.Workload.rq_id;
+      mix_ids d tl
 
-let encode_ev w = function
+let mix_entry d (e : Orch.request_log) =
+  Replay.mix_int d e.Orch.req;
+  Replay.mix_string d e.Orch.requested;
+  Replay.mix_string d e.Orch.variant;
+  Replay.mix_float d e.Orch.latency_s;
+  Replay.mix_int d e.Orch.attempts;
+  Replay.mix_bool d e.Orch.degraded;
+  Replay.mix_bool d e.Orch.ok;
+  Replay.mix_float d e.Orch.t_done
+
+(* One event into the replay's chain: id, fire time, kind, body. *)
+let digest_event (rp : Replay.t) id ~at ev =
+  let d = rp.Replay.chain in
+  Replay.mix_int d id;
+  Replay.mix_float d at;
+  (match ev with
   | Ev_arrival rq ->
-      Codec.str w "A";
-      encode_request w rq
+      Replay.mix_int d 0;
+      mix_request d rq
   | Ev_complete { c_sid; c_start; c_batch; c_entry } ->
-      Codec.str w "C";
-      Codec.int w c_sid;
-      Codec.float w c_start;
-      encode_batch w c_batch;
-      encode_entry w c_entry
+      Replay.mix_int d 1;
+      Replay.mix_int d c_sid;
+      Replay.mix_float d c_start;
+      Replay.mix_string d c_batch.Batcher.b_key;
+      Replay.mix_float d c_batch.Batcher.b_formed_s;
+      Replay.mix_int d (List.length c_batch.Batcher.b_requests);
+      mix_ids d c_batch.Batcher.b_requests;
+      mix_entry d c_entry
   | Ev_flush sid ->
-      Codec.str w "F";
-      Codec.int w sid
+      Replay.mix_int d 2;
+      Replay.mix_int d sid
   | Ev_spawn sid ->
-      Codec.str w "S";
-      Codec.int w sid
-  | Ev_tick -> Codec.str w "T"
-
-(* One journal record: event id, fire time, event body.  Replay
-   re-derives this payload and byte-compares it against the journal. *)
-let pending_payload w id ~at ev =
-  Codec.reset w;
-  Codec.int w id;
-  Codec.float w at;
-  encode_ev w ev;
-  Codec.contents w
+      Replay.mix_int d 3;
+      Replay.mix_int d sid
+  | Ev_tick -> Replay.mix_int d 4);
+  Replay.event rp ~id
 
 (* The anchor digest: sim time and the scalar run counters. *)
 let anchor_state st () =
-  let w = Codec.writer () in
-  Codec.float w (Desim.now st.st_sim);
-  Codec.int w st.st_ev_seq;
-  Codec.int w st.st_outstanding;
-  Codec.int w st.st_arrivals_pending;
-  Codec.int w st.st_next_id;
-  Codec.int w st.st_reroutes;
-  Codec.int w (List.length st.st_log);
-  Codec.contents w
+  let d = Replay.digest () in
+  Replay.mix_float d (Desim.now st.st_sim);
+  Replay.mix_int d st.st_ev_seq;
+  Replay.mix_int d st.st_outstanding;
+  Replay.mix_int d st.st_arrivals_pending;
+  Replay.mix_int d st.st_next_id;
+  Replay.mix_int d st.st_reroutes;
+  Replay.mix_int d (List.length st.st_log);
+  Replay.to_hex d
 
 (* Attribute the wall time of [f] to recovery work. *)
 let timed (rp : Replay.t) f =
@@ -611,15 +622,15 @@ and perform st = function
   | Ev_spawn sid -> worker_up st sid
   | Ev_tick -> tick st
 
-(* WAL discipline: the journal record is durable (or replay-verified)
-   before the event's effects happen. *)
+(* The event enters the journal's digest after its effects: its fields
+   are immutable, replay re-executes from t=0 whatever the crash point,
+   and [perform] touches the event's data first, as it does without
+   recovery, so the timed digest reads them warm. *)
 and fire st id ~at ev =
-  (match st.st_recovery with
+  perform st ev;
+  match st.st_recovery with
   | None -> ()
-  | Some (_, rp) ->
-      timed rp (fun () ->
-          Replay.record rp (pending_payload st.st_scratch id ~at ev)));
-  perform st ev
+  | Some (_, rp) -> timed rp (fun () -> digest_event rp id ~at ev)
 
 and sched st ~at ev =
   let id = st.st_ev_seq in
@@ -683,7 +694,7 @@ let mk_state ~registry config ~deploy ~tenants ~horizon ~recovery ~watch =
     st_horizon = horizon; st_registry = registry; st_log = [];
     st_outstanding = 0; st_arrivals_pending = 0; st_next_id = 0;
     st_reroutes = 0; st_failures = Hashtbl.create 64;
-    st_recovery = recovery; st_ev_seq = 0; st_scratch = Codec.writer ();
+    st_recovery = recovery; st_ev_seq = 0;
     st_last_snap = 0.0; st_boundary = 0; st_watch = watch }
 
 (* Register what the fabric exposes to a watch: the whole metrics

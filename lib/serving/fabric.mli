@@ -93,16 +93,18 @@ type result = {
 
 (** {2 Crash recovery}
 
-    With recovery enabled, the fabric write-ahead journals every event it
-    fires and, at control-tick boundaries, writes a small snapshot that
-    anchors the run: the boundary count, sim time and scalar run
-    counters.  The fabric is a deterministic function of (config,
-    tenants, deploy, horizon), so it saves no other state.  After a
-    crash, {!resume} re-executes the run from t=0, byte-compares each
-    re-derived event against its journaled record and the newest valid
-    anchor against the run as it passes that boundary, then finishes live
-    — producing a result byte-identical ({!render_log}, {!render_slos},
-    {!render_summary}) to the uninterrupted same-seed run.  The replay
+    With recovery enabled, the fabric mixes every event it fires into a
+    rolling digest, journals one chain record per chunk of events
+    (first event id, count, digest) and, at control-tick boundaries,
+    writes a small snapshot that anchors the run: the boundary count and
+    a digest of sim time and the scalar run counters.  The fabric is a
+    deterministic function of (config, tenants, deploy, horizon), so it
+    saves no other state.  After a crash, {!resume} re-executes the run
+    from t=0, compares each re-derived chain record with the journal and
+    the newest valid anchor with the run as it passes that boundary,
+    then finishes live — producing a result byte-identical
+    ({!render_log}, {!render_slos}, {!render_summary}) to the
+    uninterrupted same-seed run.  The replay
     code is {!Everest_recovery.Replay}, shared with the workflow
     executor. *)
 
@@ -115,8 +117,8 @@ type recovery = {
 }
 
 (** What {!resume} found: which snapshot's anchor the replay checked, how
-    many newer snapshots were rejected (and why), and how many journal
-    records were replay-verified. *)
+    many newer snapshots were rejected (and why), and how many events
+    were replay-verified. *)
 type restore_report = {
   rr_snapshot_index : int;
   rr_fallbacks : int;

@@ -3,19 +3,20 @@
    The executor is a deterministic function of (cluster, plan, faults,
    policy), so it restores by journaled replay, with the code shared
    with the serving fabric ({!Everest_recovery.Replay}): every first
-   completion of a task is one write-ahead record, and a restarted run
-   re-executes the plan from t=0 while *verifying* each re-derived
-   completion against the journal.  Snapshots are integrity anchors:
-   every [every] completions the executor's resumable digest —
-   completion counts, finish times, lineage, RNG position — is written,
-   and replay byte-compares the re-derived digest when it passes the same
-   completion count.  This module keeps the executor's own parts: the
-   record payload, that cadence, and lineage pruning at each boundary,
-   which bounds replica-tracking memory on long runs (and, because
-   pruning happens at the same counts in the original and the replayed
-   run, never perturbs byte-identity). *)
+   completion of a task (task, finish time, node) is mixed into the
+   replay's rolling digest, sealed into a chain record every chunk and
+   at each boundary, and a restarted run re-executes the plan from t=0
+   while *verifying* each re-derived chain record against the journal.
+   Snapshots are integrity anchors: every [every] completions the
+   executor's resumable digest — completion counts, finish times,
+   lineage, RNG position — is written, and replay compares the
+   re-derived digest when it passes the same completion count.  This
+   module keeps the executor's own parts: the completion's fields, that
+   cadence, and lineage pruning at each boundary, which bounds
+   replica-tracking memory on long runs (and, because pruning happens at
+   the same counts in the original and the replayed run, never perturbs
+   byte-identity). *)
 
-module Codec = Everest_recovery.Codec
 module Replay = Everest_recovery.Replay
 
 type t = {
@@ -39,16 +40,16 @@ let completions t = t.ck_completions
    genesis snapshot verifies the zero-state digest immediately. *)
 let start t ~state = Replay.boundary t.ck_replay ~count:0 ~state
 
-(* One first-completion: WAL record (live) or replay verification, then,
-   at [every]-completion boundaries, prune + anchor.  [state] must be a
+(* One first-completion into the replay's chain, then, at
+   [every]-completion boundaries, prune + anchor.  [state] must be a
    pure digest of the resumable state; [prune] runs at boundaries in
    *both* modes so pruning never makes the replayed run diverge. *)
 let on_complete t ~task ~now ~node ~state ~prune =
-  let w = Codec.writer () in
-  Codec.int w task;
-  Codec.float w now;
-  Codec.str w node;
-  Replay.record t.ck_replay (Codec.contents w);
+  let d = t.ck_replay.Replay.chain in
+  Replay.mix_int d task;
+  Replay.mix_float d now;
+  Replay.mix_string d node;
+  Replay.event t.ck_replay ~id:task;
   t.ck_completions <- t.ck_completions + 1;
   if t.ck_completions mod t.ck_every = 0 then begin
     ignore (prune () : int);

@@ -1,9 +1,11 @@
 (** Crash-consistent checkpointing for the workflow executor.
 
     The executor is deterministic in (cluster, plan, faults, policy), so
-    recovery is journaled replay: each first completion of a task is one
-    write-ahead record; a restarted run re-executes from t=0, verifying
-    every re-derived completion byte-for-byte against the journal.
+    recovery is journaled replay: each first completion of a task is
+    mixed into a rolling digest that is sealed into a chain record every
+    chunk of completions and at each snapshot; a restarted run
+    re-executes from t=0, verifying every re-derived chain record
+    against the journal.
     Snapshots act as integrity anchors (the resumable-state digest every
     [every] completions, re-checked during replay) and as the points where
     {!Everest_resilience.Lineage.prune} bounds replica-tracking memory —
@@ -27,7 +29,7 @@ val resume : store:Everest_recovery.Store.t -> every:int -> t
 (** Was this checkpoint created by {!resume}? *)
 val resumed : t -> bool
 
-(** Journal records replay-verified so far. *)
+(** Completions replay-verified so far. *)
 val replayed : t -> int
 
 (** First completions observed so far. *)
@@ -44,7 +46,7 @@ val start : t -> state:(unit -> string) -> unit
     count.  May raise {!Everest_recovery.Journal.Crashed} when a crash was
     armed on the store, or
     {!Everest_recovery.Store.Recovery_error} ([Replay_divergence]) when
-    the re-derived record or a snapshot anchor does not match the
+    a re-derived chain record or a snapshot anchor does not match the
     journal. *)
 val on_complete :
   t ->

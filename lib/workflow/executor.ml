@@ -521,28 +521,32 @@ let execute ?(faults = Faults.none) ?(policy = Policy.default)
      snapshot boundaries.  Both are deterministic in the run, so replay
      reproduces them bit-exactly. *)
   let ck_state () =
-    let module Codec = Everest_recovery.Codec in
-    let w = Codec.writer () in
-    Codec.int w !n_done;
-    Codec.int w !retries;
-    Codec.int w !timeouts;
-    Codec.int w !speculative;
-    Codec.int w !recomputed;
-    Codec.int w !spec_budget;
-    Codec.int w (Rng.state backoff_rng);
-    let finished = ref [] in
-    for i = n - 1 downto 0 do
-      if finish.(i) >= 0.0 then finished := (i, finish.(i)) :: !finished
+    let module Replay = Everest_recovery.Replay in
+    let d = Replay.digest () in
+    Replay.mix_int d !n_done;
+    Replay.mix_int d !retries;
+    Replay.mix_int d !timeouts;
+    Replay.mix_int d !speculative;
+    Replay.mix_int d !recomputed;
+    Replay.mix_int d !spec_budget;
+    Replay.mix_int d (Rng.state backoff_rng);
+    for i = 0 to n - 1 do
+      if finish.(i) >= 0.0 then begin
+        Replay.mix_int d i;
+        Replay.mix_float d finish.(i)
+      end
     done;
-    Codec.list w !finished ~item:(fun w (i, f) ->
-        Codec.int w i;
-        Codec.float w f);
-    Codec.list w (Lineage.export lineage) ~item:(fun w (task, copies) ->
-        Codec.int w task;
-        Codec.list w copies ~item:(fun w (node, since) ->
-            Codec.str w node;
-            Codec.float w since));
-    Codec.contents w
+    List.iter
+      (fun (task, copies) ->
+        Replay.mix_int d task;
+        Replay.mix_int d (List.length copies);
+        List.iter
+          (fun (node, since) ->
+            Replay.mix_string d node;
+            Replay.mix_float d since)
+          copies)
+      (Lineage.export lineage);
+    Replay.to_hex d
   in
   let lineage_gauge = Metrics.gauge ~registry ~labels "workflow_lineage_copies" in
   let ck_prune () =
@@ -732,8 +736,8 @@ let execute ?(faults = Faults.none) ?(policy = Policy.default)
     Lineage.record_primary lineage ~task:i ~node:tk.tk_node.Node.name ~now;
     let first = finish.(i) < 0.0 in
     if first then begin
-      (* WAL: the completion record is durable (or replay-verified)
-         before any of its effects land *)
+      (* the completion enters the journal's digest before any of its
+         effects land *)
       Option.iter
         (fun ck ->
           Checkpoint.on_complete ck ~task:i ~now ~node:tk.tk_node.Node.name

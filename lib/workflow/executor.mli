@@ -61,8 +61,8 @@ exception Execution_failed of { reason : string; partial : stats }
     [plan_lint] (default [true]) runs {!Planlint.gate} before deployment —
     the pre-run counterpart of [Pipeline.compile ?lint]; pass [false] to
     execute a plan the analyzer rejects (e.g. to reproduce a failure).
-    [checkpoint] write-ahead journals every first completion and snapshots
-    the executor's resumable digest at {!Checkpoint} boundaries (also
+    [checkpoint] journals every first completion into a digest chain and
+    snapshots the executor's resumable digest at {!Checkpoint} boundaries (also
     pruning lineage there, bounding replica-tracking memory and reported by
     the [workflow_lineage_copies] gauge); a {!Checkpoint.resume}d value
     replay-verifies the whole run against the journal.

@@ -1,13 +1,13 @@
 (* Tests for everest_recovery and the crash-consistent checkpoint/restore
-   paths built on it: the token codec, the versioned snapshot envelope,
-   write-ahead journal segments (including torn tails), the on-disk store
+   paths built on it: the replay digest, the versioned snapshot envelope,
+   journal segments (torn tails, foreign versions), the on-disk store
    (fingerprint checks, snapshot fallback), and the headline invariant —
    a run killed at a random journal point and resumed produces reports
    byte-identical to the uninterrupted same-seed run, for both the
    serving fabric and the workflow executor (journaled re-execution from
    t=0 with snapshot anchors, one replay module for both). *)
 
-module Codec = Everest_recovery.Codec
+module Replay = Everest_recovery.Replay
 module Snapshot = Everest_recovery.Snapshot
 module Journal = Everest_recovery.Journal
 module Store = Everest_recovery.Store
@@ -42,63 +42,80 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-(* ---- codec ---------------------------------------------------------------- *)
+(* Chain records are "<first event id> <event count> <digest>". *)
+let chain_records dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".ejrnl")
+  |> List.sort compare
+  |> List.concat_map (fun f ->
+         (Journal.read_segment (Filename.concat dir f)).Journal.sg_records)
 
-let test_codec_roundtrip () =
-  let w = Codec.writer () in
-  Codec.int w 0;
-  Codec.int w (-42);
-  Codec.int w max_int;
-  Codec.float w 0.0;
-  Codec.float w (1.0 /. 3.0);
-  Codec.float w (-1.7976931348623157e308);
-  Codec.float w 5e-324;
-  Codec.bool w true;
-  Codec.bool w false;
-  List.iter (Codec.str w)
-    [ ""; "%"; "plain"; "a b"; "line\nbreak"; "\x00\xff\x7f~"; "100%" ];
-  Codec.list w [ 1; 2; 3 ] ~item:Codec.int;
-  Codec.assoc_floats w [ ("size", 1024.0); ("alpha", 0.5) ];
-  let r = Codec.reader (Codec.contents w) in
-  checki "int 0" 0 (Codec.r_int r);
-  checki "int neg" (-42) (Codec.r_int r);
-  checki "int max" max_int (Codec.r_int r);
-  checkb "float 0" true (Codec.r_float r = 0.0);
-  checkb "float third" true (Codec.r_float r = 1.0 /. 3.0);
-  checkb "float -max" true (Codec.r_float r = -1.7976931348623157e308);
-  checkb "float denormal" true (Codec.r_float r = 5e-324);
-  checkb "bool t" true (Codec.r_bool r);
-  checkb "bool f" false (Codec.r_bool r);
-  List.iter
-    (fun s -> checks "str" s (Codec.r_str r))
-    [ ""; "%"; "plain"; "a b"; "line\nbreak"; "\x00\xff\x7f~"; "100%" ];
-  checkb "list" true (Codec.r_list r ~item:Codec.r_int = [ 1; 2; 3 ]);
-  checkb "assoc" true
-    (Codec.r_assoc_floats r = [ ("size", 1024.0); ("alpha", 0.5) ]);
-  checkb "at end" true (Codec.at_end r)
+let chain_events records =
+  List.fold_left
+    (fun acc r -> acc + int_of_string (List.nth (String.split_on_char ' ' r) 1))
+    0 records
 
-let test_codec_is_deterministic () =
-  let enc () =
-    let w = Codec.writer () in
-    Codec.float w (Float.atan 1.0);
-    Codec.str w "x%y z";
-    Codec.contents w
+(* ---- digest --------------------------------------------------------------- *)
+
+let digest_of f =
+  let d = Replay.digest () in
+  f d;
+  Replay.to_hex d
+
+let test_digest_separates_fields () =
+  let base d =
+    Replay.mix_int d 7;
+    Replay.mix_float d 0.25;
+    Replay.mix_string d "acme"
   in
-  checks "same bytes" (enc ()) (enc ())
+  checks "deterministic" (digest_of base) (digest_of base);
+  checki "16 hex digits" 16 (String.length (digest_of base));
+  List.iter
+    (fun (what, f) ->
+      checkb what true (not (String.equal (digest_of base) (digest_of f))))
+    [ ("int", fun d -> Replay.mix_int d 8; Replay.mix_float d 0.25;
+                       Replay.mix_string d "acme");
+      ("float", fun d -> Replay.mix_int d 7; Replay.mix_float d 0.2500001;
+                         Replay.mix_string d "acme");
+      ("string", fun d -> Replay.mix_int d 7; Replay.mix_float d 0.25;
+                          Replay.mix_string d "acmf");
+      ("order", fun d -> Replay.mix_float d 0.25; Replay.mix_int d 7;
+                         Replay.mix_string d "acme") ];
+  let strings a b d = Replay.mix_string d a; Replay.mix_string d b in
+  checkb "string boundaries" true
+    (digest_of (strings "ab" "c") <> digest_of (strings "a" "bc"));
+  checkb "signed zero" true
+    (digest_of (fun d -> Replay.mix_float d 0.0)
+    <> digest_of (fun d -> Replay.mix_float d (-0.0)));
+  checkb "float sign bit" true
+    (digest_of (fun d -> Replay.mix_float d 1.5)
+    <> digest_of (fun d -> Replay.mix_float d (-1.5)));
+  let distinct xs = List.length (List.sort_uniq compare xs) = List.length xs in
+  checkb "no collisions over 10^4 ints" true
+    (distinct (List.init 10_000 (fun i -> digest_of (fun d -> Replay.mix_int d i))));
+  checkb "no collisions over 10^4 event times" true
+    (distinct
+       (List.init 10_000 (fun i ->
+            digest_of (fun d -> Replay.mix_float d (float_of_int i *. 1e-4)))))
 
-let test_codec_rejects_garbage () =
-  checkb "bad int" true
-    (match Codec.r_int (Codec.reader "nope") with
-    | exception Codec.Decode _ -> true
-    | _ -> false);
-  checkb "truncated" true
-    (match
-       let r = Codec.reader "5" in
-       let _ = Codec.r_int r in
-       Codec.r_int r
-     with
-    | exception Codec.Decode _ -> true
-    | _ -> false)
+(* The digest runs once per journaled event, so it must not allocate.
+   The floats sit boxed in tuples, as they do in the engines' records (a
+   float read out of a flat float array would be boxed to pass it). *)
+let test_digest_does_not_allocate () =
+  let d = Replay.digest () in
+  let fields =
+    [| (0.0, "acme"); (1.5, "mm"); (-3.25e-7, "hw"); (Float.infinity, "") |]
+  in
+  let before = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    let f, s = Array.unsafe_get fields (i land 3) in
+    Replay.mix_int d i;
+    Replay.mix_float d f;
+    Replay.mix_string d s
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb "changed" true (Replay.to_hex d <> digest_of ignore);
+  Alcotest.check (Alcotest.float 0.0) "minor words" 0.0 words
 
 (* ---- snapshot envelope ---------------------------------------------------- *)
 
@@ -132,7 +149,7 @@ let test_snapshot_detects_version_skew () =
     ^ String.sub raw 15 (String.length raw - 15)
   in
   match Snapshot.decode skewed with
-  | Error (Snapshot.Version_skew { found = 9; expected = 1 }) -> ()
+  | Error (Snapshot.Version_skew { found = 9; expected = 2 }) -> ()
   | Ok _ -> Alcotest.fail "version skew accepted"
   | Error e -> Alcotest.fail ("wrong error: " ^ Snapshot.error_to_string e)
 
@@ -165,6 +182,48 @@ let test_journal_heals_torn_tail () =
   checkb "healed" false seg2.Journal.sg_torn;
   checkb "records" true
     (seg2.Journal.sg_records = [ "rec-one"; "rec-two"; "rec-three" ])
+
+(* A segment whose header names another journal version is foreign data,
+   not a torn write: resume refuses it with [Version_skew] and leaves the
+   bytes as they were. *)
+let test_journal_refuses_foreign_version () =
+  let dir = tmp_dir "foreign" in
+  let store = Store.open_store ~fresh:true ~dir ~fingerprint:"fp" () in
+  Store.write_snapshot store ~index:0 "0 00";
+  Store.append store "rec-one";
+  Store.close store;
+  let seg = Filename.concat dir "journal-000000.ejrnl" in
+  let foreign = "EVEREST-JRNL v9\nsomebody else's record #00000000\n" in
+  write_file seg foreign;
+  let store = Store.open_store ~dir ~fingerprint:"fp" () in
+  checkb "version skew" true
+    (match Store.plan_resume store with
+    | exception Store.Recovery_error (Store.Version_skew { found = 9; expected = 2 })
+      -> true
+    | _ -> false);
+  Store.close store;
+  checks "segment untouched" foreign (read_file seg)
+
+(* Only a crash mid-append tears a tail, and only the newest segment is
+   appended to: a torn earlier segment is corruption, refused untouched. *)
+let test_journal_refuses_torn_earlier_segment () =
+  let dir = tmp_dir "torn-early" in
+  let store = Store.open_store ~fresh:true ~dir ~fingerprint:"fp" () in
+  Store.write_snapshot store ~index:0 "0 00";
+  Store.append store "a";
+  Store.write_snapshot store ~index:1 "1 00";
+  Store.append store "b";
+  Store.close store;
+  let seg0 = Filename.concat dir "journal-000000.ejrnl" in
+  let torn = read_file seg0 ^ "half a rec" in
+  write_file seg0 torn;
+  let store = Store.open_store ~dir ~fingerprint:"fp" () in
+  checkb "corrupt" true
+    (match Store.plan_resume store with
+    | exception Store.Recovery_error (Store.Corrupt _) -> true
+    | _ -> false);
+  Store.close store;
+  checks "segment untouched" torn (read_file seg0)
 
 (* ---- store ---------------------------------------------------------------- *)
 
@@ -281,9 +340,19 @@ let fabric_crash_resume ?every ~dir config ~after =
 let test_fabric_journaling_is_transparent () =
   let config = fabric_config ~seed:7 in
   let plain = render (fabric_run config) in
-  let journaled, records = fabric_baseline ~dir:(tmp_dir "transparent") config in
+  let dir = tmp_dir "transparent" in
+  let journaled, records = fabric_baseline ~dir config in
   checks "recovery on/off identical" plain journaled;
-  checkb "journal non-trivial" true (records > 100)
+  let chain = chain_records dir in
+  checki "records written" records (List.length chain);
+  checkb "several chain records" true (records > 1);
+  checkb "journal non-trivial" true (chain_events chain > 100);
+  checkb "one record per chunk or boundary" true
+    (records < chain_events chain / Replay.chunk_events + 20);
+  checkb "no chunk longer than chunk_events" true
+    (List.for_all
+       (fun r -> chain_events [ r ] <= Replay.chunk_events)
+       chain)
 
 let test_fabric_crash_resume_byte_identical () =
   let config = fabric_config ~seed:7 in
@@ -414,15 +483,15 @@ let test_fabric_replay_detects_divergence () =
         | Ok body -> body
         | Error e -> Alcotest.fail (Snapshot.error_to_string e)
       in
-      let r = Codec.reader body in
-      let count = Codec.r_int r in
-      let count, digest = tamper (count, Codec.r_str r) in
-      let w = Codec.writer () in
-      Codec.int w count;
-      Codec.str w digest;
-      write_file snap (Snapshot.encode (Codec.contents w));
+      let count, digest =
+        match String.split_on_char ' ' body with
+        | [ count; digest ] -> tamper (int_of_string count, digest)
+        | _ -> Alcotest.failf "anchor body %S" body
+      in
+      write_file snap
+        (Snapshot.encode (Printf.sprintf "%d %s" count digest));
       checkb what true (diverges dir))
-    [ ("anchor digest differs", fun (c, d) -> (c, d ^ " 1"));
+    [ ("anchor digest differs", fun (c, d) -> (c, "0" ^ d));
       ("anchor boundary never reached", fun (c, d) -> (c + 1000, d)) ];
   let dir = tmp_dir "fab-div-extra" in
   ignore (fabric_baseline ~dir config);
@@ -433,6 +502,82 @@ let test_fabric_replay_detects_divergence () =
   in
   write_file seg (read_file seg ^ Journal.encode_record "0 extra");
   checkb "journal left over" true (diverges dir)
+
+(* Every chain record seals the run's digest so far, so a tampered
+   record in the middle of the journal — reframed with a valid checksum,
+   so only replay can tell — stops the resumed run at exactly that
+   chunk, and the divergence names its first event id. *)
+let test_fabric_replay_detects_tampered_chain_record () =
+  let config = fabric_config ~seed:7 in
+  let _, records = fabric_baseline ~dir:(tmp_dir "fab-chain-base") config in
+  let dir = tmp_dir "fab-chain" in
+  fabric_crash ~dir config ~after:(records - 1);
+  let chain = chain_records dir in
+  checkb "several chain records" true (List.length chain >= 3);
+  let victim = List.nth chain (List.length chain / 2) in
+  let first_id, tampered =
+    match String.split_on_char ' ' victim with
+    | [ first; count; digest ] ->
+        let flipped = if digest.[15] = '0' then '1' else '0' in
+        ( first,
+          String.concat " "
+            [ first; count; String.sub digest 0 15 ^ String.make 1 flipped ] )
+    | _ -> Alcotest.failf "chain record %S" victim
+  in
+  let line = Journal.encode_record victim in
+  let seg =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ejrnl")
+    |> List.map (Filename.concat dir)
+    |> List.find (fun f ->
+           Astring.String.is_infix ~affix:line (read_file f))
+  in
+  write_file seg
+    (Astring.String.cuts ~sep:line (read_file seg)
+    |> String.concat (Journal.encode_record tampered));
+  match fabric_resume ~dir config with
+  | exception
+      Store.Recovery_error (Store.Replay_divergence { expected; got }) ->
+      checks "journal side is the tampered record" tampered expected;
+      checks "re-derived side is the original record" victim got;
+      let names_first s =
+        String.starts_with ~prefix:(first_id ^ " ") s
+      in
+      checkb "both name the chunk's first event id" true
+        (names_first expected && names_first got)
+  | _ -> Alcotest.fail "tampered chain record not detected"
+
+(* A store written by the codec-era format (journal and snapshot
+   version 1) must fail loudly, never be replayed as if it were torn. *)
+let test_fabric_refuses_v1_store () =
+  let config = fabric_config ~seed:7 in
+  let _, records = fabric_baseline ~dir:(tmp_dir "fab-v1-base") config in
+  let dir = tmp_dir "fab-v1" in
+  fabric_crash ~dir config ~after:(records / 2);
+  let set_version ~magic path =
+    let s = read_file path in
+    let nl = String.index s '\n' in
+    write_file path
+      (magic ^ " v1" ^ String.sub s nl (String.length s - nl))
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.iter (fun f ->
+         let path = Filename.concat dir f in
+         if Filename.check_suffix f ".ejrnl" then
+           set_version ~magic:"EVEREST-JRNL" path
+         else if Filename.check_suffix f ".esnap" then
+           set_version ~magic:"EVEREST-SNAP" path);
+  let before = List.map (fun f -> read_file (Filename.concat dir f))
+      (List.sort compare (Array.to_list (Sys.readdir dir))) in
+  checkb "version skew" true
+    (match fabric_resume ~dir config with
+    | exception
+        Store.Recovery_error (Store.Version_skew { found = 1; expected = 2 })
+      -> true
+    | _ -> false);
+  checkb "store untouched" true
+    (before = List.map (fun f -> read_file (Filename.concat dir f))
+       (List.sort compare (Array.to_list (Sys.readdir dir))))
 
 (* A resumed run re-executes from t=0, so a watch attached to it sees the
    whole run: same scrape ticks, samples and alerts, and the same
@@ -542,7 +687,9 @@ let test_executor_crash_resume_byte_identical () =
   in
   let records = store.Store.records_written in
   Store.close store;
-  checki "one record per task" 30 records;
+  let chain = chain_records dir in
+  checki "records written" records (List.length chain);
+  checki "every task's completion in the chain" 30 (chain_events chain);
   List.iter
     (fun after ->
       let dir = tmp_dir "exec-crash" in
@@ -560,8 +707,9 @@ let test_executor_crash_resume_byte_identical () =
       checks (Printf.sprintf "crash@%d byte-identical" after) base resumed;
       checki
         (Printf.sprintf "crash@%d replayed whole prefix" after)
-        after (Checkpoint.replayed ck))
-    [ 1; 14; records - 1 ]
+        (chain_events (List.filteri (fun i _ -> i < after) chain))
+        (Checkpoint.replayed ck))
+    [ 1; records / 2; records - 1 ]
 
 let prop_executor_crash_point_irrelevant =
   QCheck.Test.make ~count:6
@@ -581,22 +729,27 @@ let prop_executor_crash_point_irrelevant =
       let dir = tmp_dir "exec-qcrash" in
       let store = Store.open_store ~fresh:true ~dir ~fingerprint:"exec" () in
       Store.arm_crash store ~after_records:after;
-      (try ignore (exec_run ~seed ~checkpoint:(Checkpoint.create ~store ~every:5) ())
-       with Journal.Crashed -> ());
+      let crashed =
+        match exec_run ~seed ~checkpoint:(Checkpoint.create ~store ~every:5) () with
+        | _ -> false
+        | exception Journal.Crashed -> true
+      in
       Store.close store;
       let store = Store.open_store ~dir ~fingerprint:"exec" () in
       let ck = Checkpoint.resume ~store ~every:5 in
       let resumed = render_stats (exec_run ~seed ~checkpoint:ck ()) in
       Store.close store;
-      String.equal base resumed)
+      crashed && String.equal base resumed)
 
 let test_executor_replay_detects_divergence () =
   (* resume under a different workload: replay must fault, not produce a
      quietly different report *)
   let dir = tmp_dir "exec-diverge" in
   let store = Store.open_store ~fresh:true ~dir ~fingerprint:"exec" () in
-  Store.arm_crash store ~after_records:10;
-  (try ignore (exec_run ~seed:5 ~checkpoint:(Checkpoint.create ~store ~every:7) ())
+  Store.arm_crash store ~after_records:2;
+  (try
+     ignore (exec_run ~seed:5 ~checkpoint:(Checkpoint.create ~store ~every:7) ());
+     Alcotest.fail "armed crash did not fire"
    with Journal.Crashed -> ());
   Store.close store;
   let store = Store.open_store ~dir ~fingerprint:"exec" () in
@@ -609,11 +762,11 @@ let test_executor_replay_detects_divergence () =
 
 let () =
   Alcotest.run "everest_recovery"
-    [ ( "codec",
-        [ Alcotest.test_case "round-trip" `Quick test_codec_roundtrip;
-          Alcotest.test_case "deterministic" `Quick test_codec_is_deterministic;
-          Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage
-        ] );
+    [ ( "digest",
+        [ Alcotest.test_case "separates fields" `Quick
+            test_digest_separates_fields;
+          Alcotest.test_case "does not allocate" `Quick
+            test_digest_does_not_allocate ] );
       ( "snapshot",
         [ Alcotest.test_case "round-trip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "bit-flip" `Quick test_snapshot_detects_bitflip;
@@ -624,7 +777,11 @@ let () =
         [ Alcotest.test_case "record round-trip" `Quick
             test_journal_record_roundtrip;
           Alcotest.test_case "torn tail healed" `Quick
-            test_journal_heals_torn_tail ] );
+            test_journal_heals_torn_tail;
+          Alcotest.test_case "foreign version refused" `Quick
+            test_journal_refuses_foreign_version;
+          Alcotest.test_case "torn earlier segment refused" `Quick
+            test_journal_refuses_torn_earlier_segment ] );
       ( "store",
         [ Alcotest.test_case "config mismatch" `Quick
             test_store_rejects_config_mismatch;
@@ -642,6 +799,10 @@ let () =
             test_fabric_all_snapshots_corrupt;
           Alcotest.test_case "replay detects divergence" `Quick
             test_fabric_replay_detects_divergence;
+          Alcotest.test_case "replay detects a tampered chain record" `Quick
+            test_fabric_replay_detects_tampered_chain_record;
+          Alcotest.test_case "refuses a version-1 store" `Quick
+            test_fabric_refuses_v1_store;
           Alcotest.test_case "resumed watch sees the whole run" `Quick
             test_fabric_resumed_watch_sees_whole_run;
           QCheck_alcotest.to_alcotest prop_fabric_crash_point_irrelevant ] );

@@ -530,6 +530,191 @@ let test_fabric_rejects_sub_tick_watch () =
            ~deploy:(Fabric.demo_deploy ()) ~tenants ~horizon));
   Store.close store
 
+(* ---- conservation fuzzing ------------------------------------------------- *)
+
+(* Random fleets: 1-16 shards, a mix of open and closed tenants, any
+   batcher, autoscale on or off, fault plans with transients and shard
+   outages, any re-route budget.  Whatever the configuration, every
+   generated request resolves exactly once, the log is dense by id, the
+   books balance (generated = served + failed + shed) and no latency is
+   negative.  A third of the cases also journal the run, crash it at a
+   random record and resume: the resumed render must equal the
+   uninterrupted one. *)
+type fuzz_case = {
+  fz_seed : int;
+  fz_shards : int;
+  fz_open : float list;  (* open-loop tenant rates *)
+  fz_closed : int list;  (* closed-loop tenant user counts *)
+  fz_batch : int;
+  fz_delay : float;
+  fz_autoscale : bool;
+  fz_faults : int;  (* 0 none, 1 transients, 2 transients + an outage *)
+  fz_reroutes : int;
+  fz_recovery : (float * int) option;  (* anchor interval, crash point *)
+}
+
+let gen_fuzz_case =
+  let open QCheck.Gen in
+  let* fz_seed = int_range 1 100_000 in
+  let* fz_shards = int_range 1 16 in
+  let* fz_open = list_size (int_range 0 2) (float_range 20.0 400.0) in
+  let* fz_closed =
+    list_size (int_range (if fz_open = [] then 1 else 0) 2) (int_range 1 6)
+  in
+  let* fz_batch = int_range 1 8 in
+  let* fz_delay = float_range 0.0 0.02 in
+  let* fz_autoscale = bool in
+  let* fz_faults = int_range 0 2 in
+  let* fz_reroutes = int_range 0 3 in
+  let+ fz_recovery =
+    frequency
+      [ (2, return None);
+        (1, map2 (fun e c -> Some (e, c)) (float_range 0.02 0.5)
+              (int_range 0 1_000_000)) ]
+  in
+  { fz_seed; fz_shards; fz_open; fz_closed; fz_batch; fz_delay; fz_autoscale;
+    fz_faults; fz_reroutes; fz_recovery }
+
+let print_fuzz_case c =
+  Printf.sprintf
+    "seed=%d shards=%d open=[%s] closed=[%s] batch=%d delay=%g autoscale=%b \
+     faults=%d reroutes=%d recovery=%s"
+    c.fz_seed c.fz_shards
+    (String.concat ";" (List.map string_of_float c.fz_open))
+    (String.concat ";" (List.map string_of_int c.fz_closed))
+    c.fz_batch c.fz_delay c.fz_autoscale c.fz_faults c.fz_reroutes
+    (match c.fz_recovery with
+    | None -> "off"
+    | Some (e, k) -> Printf.sprintf "every=%g crash=%d" e k)
+
+let fuzz_horizon = 0.25
+
+let fuzz_setup c =
+  let tenants =
+    List.mapi
+      (fun i rate ->
+        Workload.open_tenant ~name:(Printf.sprintf "open%d" i) ~kernel:"mm"
+          ~rate_rps:rate ~diurnal_amplitude:0.3 ~diurnal_period_s:0.5
+          ~features:(fun seq -> [ ("size", float_of_int (512 + seq)) ])
+          ())
+      c.fz_open
+    @ List.mapi
+        (fun i users ->
+          Workload.closed_tenant ~name:(Printf.sprintf "closed%d" i)
+            ~kernel:"mm" ~users ~think_s:0.02 ())
+        c.fz_closed
+  in
+  let faults =
+    match c.fz_faults with
+    | 0 -> Faults.none
+    | 1 ->
+        Faults.plan ~seed:c.fz_seed ~transient_prob:0.1
+          ~fpga_transient_prob:0.2 ()
+    | _ ->
+        Faults.plan ~seed:c.fz_seed ~transient_prob:0.1
+          ~fpga_transient_prob:0.2
+          ~windows:
+            [ { Faults.w_node =
+                  Printf.sprintf "shard%d" (c.fz_seed mod c.fz_shards);
+                w_down = 0.05;
+                w_up = (if c.fz_seed mod 2 = 0 then Some 0.15 else None) } ]
+          ()
+  in
+  let config =
+    { (Fabric.default_config ~n_shards:c.fz_shards) with
+      Fabric.seed = c.fz_seed;
+      batcher =
+        { Batcher.max_batch = c.fz_batch; max_delay_s = c.fz_delay;
+          marginal_cost = 0.2 };
+      autoscale =
+        (if c.fz_autoscale then Autoscale.default_config
+         else Autoscale.fixed (1 + (c.fz_seed mod 3)));
+      faults; max_reroutes = c.fz_reroutes }
+  in
+  (config, tenants)
+
+let fuzz_render r =
+  Fabric.render_log r ^ "\n" ^ Fabric.render_slos r ^ "\n"
+  ^ Fabric.render_summary r
+
+let prop_fabric_conservation =
+  QCheck.Test.make ~count:100 ~name:"fabric conserves requests on random fleets"
+    (QCheck.make ~print:print_fuzz_case gen_fuzz_case)
+    (fun c ->
+      let module Store = Everest_recovery.Store in
+      let config, tenants = fuzz_setup c in
+      let registry = Metrics.create_registry () in
+      let run ?recovery ~registry () =
+        Fabric.run ~registry ?recovery config ~deploy:(Fabric.demo_deploy ())
+          ~tenants ~horizon:fuzz_horizon
+      in
+      let r = run ~registry () in
+      let generated =
+        List.fold_left
+          (fun acc (m : Metrics.metric) ->
+            match m.Metrics.value with
+            | Metrics.Counter n when m.Metrics.mname = "serving_requests_total"
+              ->
+                acc + int_of_float !n
+            | _ -> acc)
+          0 (Metrics.metrics registry)
+      in
+      let ids = List.map (fun x -> x.Fabric.sr_id) r.Fabric.f_log in
+      let dense = ids = List.init (List.length ids) Fun.id in
+      let balanced =
+        generated = List.length r.Fabric.f_log
+        && generated = Fabric.served_ok r + Fabric.failed r + Fabric.shed r
+      in
+      let latencies_ok =
+        List.for_all (fun x -> x.Fabric.sr_latency_s >= 0.0) r.Fabric.f_log
+      in
+      let resumed_ok =
+        match c.fz_recovery with
+        | None -> true
+        | Some (every, crash_raw) ->
+            let dir =
+              Filename.concat (Filename.get_temp_dir_name ())
+                "everest-serving-fuzz"
+            in
+            let fp = Fabric.fingerprint config ~tenants ~horizon:fuzz_horizon in
+            let recovery store =
+              { Fabric.rv_store = store; rv_snapshot_every_s = every }
+            in
+            let store = Store.open_store ~fresh:true ~dir ~fingerprint:fp () in
+            let base =
+              fuzz_render
+                (run ~recovery:(recovery store)
+                   ~registry:(Metrics.create_registry ()) ())
+            in
+            let records = store.Store.records_written in
+            Store.close store;
+            let store = Store.open_store ~fresh:true ~dir ~fingerprint:fp () in
+            Store.arm_crash store ~after_records:(1 + (crash_raw mod records));
+            let crashed =
+              match
+                run ~recovery:(recovery store)
+                  ~registry:(Metrics.create_registry ()) ()
+              with
+              | _ -> false
+              | exception Everest_recovery.Journal.Crashed -> true
+            in
+            Store.close store;
+            let store = Store.open_store ~dir ~fingerprint:fp () in
+            let resumed, _ =
+              Fun.protect
+                ~finally:(fun () -> Store.close store)
+                (fun () ->
+                  Fabric.resume ~registry:(Metrics.create_registry ())
+                    ~recovery:(recovery store) config
+                    ~deploy:(Fabric.demo_deploy ()) ~tenants
+                    ~horizon:fuzz_horizon)
+            in
+            crashed
+            && String.equal base (fuzz_render resumed)
+            && String.equal base (fuzz_render r)
+      in
+      dense && balanced && latencies_ok && resumed_ok)
+
 let () =
   Alcotest.run "everest_serving"
     [ ( "workload",
@@ -583,4 +768,5 @@ let () =
             test_shard_draining_on_open_breaker;
           Alcotest.test_case "rejects a sub-tick watch interval" `Quick
             test_fabric_rejects_sub_tick_watch;
-          QCheck_alcotest.to_alcotest prop_same_seed_identical ] ) ]
+          QCheck_alcotest.to_alcotest prop_same_seed_identical;
+          QCheck_alcotest.to_alcotest prop_fabric_conservation ] ) ]
