@@ -724,7 +724,7 @@ let recover_cmd =
           ("snapshots", Json.int snapshots);
           ("crash_after_record", Json.int after);
           ("resume_snapshot", Json.int report.Srv.Fabric.rr_snapshot_index);
-          ("replayed_records", Json.int report.Srv.Fabric.rr_replayed);
+          ("replayed_events", Json.int report.Srv.Fabric.rr_replayed);
           ("recovery_time_s", Json.Num recovery_s);
           ("executor_records", Json.int exec_records);
           ("executor_crash_after", Json.int exec_after);

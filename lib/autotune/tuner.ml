@@ -15,7 +15,6 @@ type t = {
   mutable last : Selector.decision option;
   mutable selections : int;
   mutable switches : int;
-  history : (string * Knowledge.metrics) Queue.t;
   select_memo : Selector.decision option Everest_parallel.Cache.t;
       (* memoizes [Selector.select] per feature vector; flushed on every
          observation, since observations move the knowledge *)
@@ -23,7 +22,7 @@ type t = {
 
 let create ?(alpha = 0.3) ?(hysteresis = 0.1) knowledge goal =
   { knowledge; goal; alpha; hysteresis; last = None; selections = 0;
-    switches = 0; history = Queue.create ();
+    switches = 0;
     select_memo = Everest_parallel.Cache.create ~name:"tuner_select" () }
 
 (* Selection depends only on the feature vector (and the knowledge, which
@@ -68,33 +67,17 @@ let select (t : t) ~features =
     | _ -> fresh
   in
   t.selections <- t.selections + 1;
-  let kernel_labels = [ ("kernel", t.knowledge.Knowledge.kernel) ] in
-  Everest_telemetry.Probe.count ~labels:kernel_labels "tuner_selections_total";
   (match (t.last, d) with
   | Some prev, Some next
     when not
            (String.equal prev.Selector.point.Knowledge.variant
               next.Selector.point.Knowledge.variant) ->
-      t.switches <- t.switches + 1;
-      Everest_telemetry.Probe.count ~labels:kernel_labels
-        "tuner_switches_total"
+      t.switches <- t.switches + 1
   | _ -> ());
   t.last <- d;
   d
 
 let observe (t : t) ~variant ~features ~measured =
-  Queue.push (variant, measured) t.history;
-  if Queue.length t.history > 1000 then ignore (Queue.pop t.history);
-  (* observed-metric distributions per variant: the monitoring feed of the
-     adaptation loop (latency under the default "time_s" goal) *)
-  List.iter
-    (fun (metric, v) ->
-      Everest_telemetry.Probe.observe
-        ~labels:
-          [ ("kernel", t.knowledge.Knowledge.kernel);
-            ("variant", variant) ]
-        ("tuner_observed_" ^ metric) v)
-    measured;
   Knowledge.observe ~alpha:t.alpha t.knowledge ~variant ~features ~measured;
   (* the knowledge just moved: memoized selections are stale *)
   Everest_parallel.Cache.clear t.select_memo

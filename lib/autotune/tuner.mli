@@ -15,7 +15,6 @@ type t = {
   mutable last : Selector.decision option;
   mutable selections : int;
   mutable switches : int;
-  history : (string * Knowledge.metrics) Queue.t;
   select_memo : Selector.decision option Everest_parallel.Cache.t;
       (** Memoized [Selector.select] results per feature vector; flushed by
           [observe] since observations move the knowledge. *)

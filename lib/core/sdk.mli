@@ -71,8 +71,9 @@ type served = {
 (** Serve [n] closed-loop requests of one compiled kernel through the
     virtualized runtime with mARGOt selection.  [slowdown req variant]
     injects contention.  [telemetry] records per-request spans into
-    [span_log] (metrics always accumulate in
-    {!Everest_telemetry.Metrics.default}).
+    [span_log].  Metrics always accumulate in
+    {!Everest_telemetry.Metrics.default}, and the run ends with one
+    {!Runtime.Orchestrator.publish_metrics} snapshot there.
     @raise Invalid_argument on unknown kernels. *)
 val serve :
   ?n:int ->

@@ -21,6 +21,21 @@ type variant_impl =
       out_bytes : int;
     }
 
+(* A kernel's metric handles, bound once at [deploy] so that [serve]
+   looks nothing up by name on its request path. *)
+type kernel_metrics = {
+  m_requests : Metrics.counter;
+  m_switches : Metrics.counter;
+  m_faults : Metrics.counter;
+  m_retries : Metrics.counter;
+  m_failures : Metrics.counter;
+  m_degraded : Metrics.counter;
+  h_latency : Metrics.histogram;
+  h_observed : (string * Metrics.histogram Lazy.t) list;
+      (* [tuner_observed_time_s] per variant, bound at its first
+         observation so unobserved variants publish no empty series *)
+}
+
 type deployed_kernel = {
   kname : string;
   impls : (string * variant_impl) list;
@@ -28,6 +43,7 @@ type deployed_kernel = {
   breakers : (string * Everest_resilience.Breaker.t) list;
       (* one per hardware variant: trips when the variant keeps failing,
          degrading requests to software until a half-open probe succeeds *)
+  metrics : kernel_metrics;
 }
 
 type t = {
@@ -83,7 +99,26 @@ let deploy ?breaker orch ~kname ~impls ~(knowledge : Knowledge.t)
         | Sw _ -> None)
       impls
   in
-  let k = { kname; impls; tuner = Tuner.create knowledge goal; breakers } in
+  let registry = orch.registry in
+  let labels = [ ("kernel", kname) ] in
+  let counter name = Metrics.counter ~registry ~labels name in
+  let metrics =
+    { m_requests = counter "orchestrator_requests_total";
+      m_switches = counter "orchestrator_variant_switches_total";
+      m_faults = counter "orchestrator_protection_faults_total";
+      m_retries = counter "orchestrator_retries_total";
+      m_failures = counter "orchestrator_failures_total";
+      m_degraded = counter "orchestrator_degraded_total";
+      h_latency =
+        Metrics.histogram ~registry ~labels "orchestrator_request_latency_s";
+      h_observed =
+        List.map
+          (fun (v, _) ->
+            let labels = ("variant", v) :: labels in
+            (v, lazy (Metrics.histogram ~registry ~labels "tuner_observed_time_s")))
+          impls }
+  in
+  let k = { kname; impls; tuner = Tuner.create knowledge goal; breakers; metrics } in
   orch.kernels <- k :: orch.kernels;
   k
 
@@ -98,7 +133,8 @@ let find_kernel orch name =
 
 (* Snapshot the runtime layers — tuner decisions, vFPGA activity, the data
    protection monitors — into telemetry gauges of the orchestrator's
-   registry. *)
+   registry.  Nothing on the request path reads these gauges, so [serve]
+   leaves the snapshot to whoever reads the registry. *)
 let publish_metrics orch =
   let registry = orch.registry in
   let g ?labels name v = Metrics.set (Metrics.gauge ~registry ?labels name) v in
@@ -195,23 +231,7 @@ let serve orch ~kernel ~n ~policy
     ?(fail = fun ~req:_ ~variant:_ ~attempt:_ -> false)
     ?(max_attempts = 3) ?(slos = []) () =
   let dk = find_kernel orch kernel in
-  let registry = orch.registry in
-  let labels = [ ("kernel", kernel) ] in
-  let m_requests =
-    Metrics.counter ~registry ~labels "orchestrator_requests_total"
-  and m_switches =
-    Metrics.counter ~registry ~labels "orchestrator_variant_switches_total"
-  and m_faults =
-    Metrics.counter ~registry ~labels "orchestrator_protection_faults_total"
-  and m_retries =
-    Metrics.counter ~registry ~labels "orchestrator_retries_total"
-  and m_failures =
-    Metrics.counter ~registry ~labels "orchestrator_failures_total"
-  and m_degraded =
-    Metrics.counter ~registry ~labels "orchestrator_degraded_total"
-  and h_latency =
-    Metrics.histogram ~registry ~labels "orchestrator_request_latency_s"
-  in
+  let km = dk.metrics in
   let trace_on = not (Trace.is_noop orch.tracer) in
   let last_variant = ref None in
   let alerts_before = ref orch.protection.Protection.total_alerts in
@@ -280,7 +300,7 @@ let serve orch ~kernel ~n ~policy
           | _ -> (requested, false)
         in
         let degraded = degraded_sofar || degraded_now in
-        if degraded_now then Metrics.inc m_degraded;
+        if degraded_now then Metrics.inc km.m_degraded;
         let espan =
           if trace_on then
             Some
@@ -306,7 +326,7 @@ let serve orch ~kernel ~n ~policy
                 Everest_resilience.Breaker.record b ~now ~ok:(not failed)
             | None -> ());
             if failed && attempt < max_attempts then begin
-              Metrics.inc m_retries;
+              Metrics.inc km.m_retries;
               let delay =
                 Everest_resilience.Policy.next_delay
                   Everest_resilience.Policy.default_backoff ~rng:backoff_rng
@@ -318,11 +338,11 @@ let serve orch ~kernel ~n ~policy
             end
             else begin
               let ok = not failed in
-              if failed then Metrics.inc m_failures;
+              if failed then Metrics.inc km.m_failures;
               let latency = now -. t_req in
               (match !last_variant with
               | Some prev when not (String.equal prev variant) ->
-                  Metrics.inc m_switches
+                  Metrics.inc km.m_switches
               | _ -> ());
               last_variant := Some variant;
               log :=
@@ -333,13 +353,13 @@ let serve orch ~kernel ~n ~policy
                 (fun m ->
                   Everest_observe.Slo.observe m ~now ~latency_s:latency ~ok ())
                 slos;
-              Metrics.inc m_requests;
-              Metrics.observe h_latency latency;
+              Metrics.inc km.m_requests;
+              Metrics.observe km.h_latency latency;
               let faults = orch.protection.Protection.total_alerts in
               if faults > !alerts_before then begin
                 Metrics.inc
                   ~by:(float_of_int (faults - !alerts_before))
-                  m_faults;
+                  km.m_faults;
                 alerts_before := faults
               end;
               (match policy with
@@ -351,6 +371,9 @@ let serve orch ~kernel ~n ~policy
                   in
                   (* feed the tuner the measured execution time, not the
                      retry-inflated request latency *)
+                  Metrics.observe
+                    (Lazy.force (List.assoc variant km.h_observed))
+                    measured;
                   Tuner.observe dk.tuner ~variant ~features:(features req)
                     ~measured:[ ("time_s", measured) ];
                   Option.iter (fun s -> Trace.finish orch.tracer s) ospan
@@ -372,25 +395,19 @@ let serve orch ~kernel ~n ~policy
   in
   loop 0;
   Cluster.run orch.cluster;
-  publish_metrics orch;
   (* end-of-run SLO gauges, one set per monitor (skipped entirely when no
      monitors were passed, keeping default runs byte-identical) *)
   List.iter
     (fun m ->
       let module Slo = Everest_observe.Slo in
-      let slo_labels = labels @ [ ("slo", Slo.monitor_name m) ] in
+      let labels = [ ("kernel", kernel); ("slo", Slo.monitor_name m) ] in
+      let g name v =
+        Metrics.set (Metrics.gauge ~registry:orch.registry ~labels name) v
+      in
       let r = Slo.snapshot m in
-      Metrics.set
-        (Metrics.gauge ~registry ~labels:slo_labels
-           "orchestrator_slo_budget_used")
-        r.Slo.budget_used;
-      Metrics.set
-        (Metrics.gauge ~registry ~labels:slo_labels "orchestrator_slo_met")
-        (if r.Slo.met then 1.0 else 0.0);
-      Metrics.set
-        (Metrics.gauge ~registry ~labels:slo_labels
-           "orchestrator_slo_alerts")
-        (float_of_int (Slo.alerts m)))
+      g "orchestrator_slo_budget_used" r.Slo.budget_used;
+      g "orchestrator_slo_met" (if r.Slo.met then 1.0 else 0.0);
+      g "orchestrator_slo_alerts" (float_of_int (Slo.alerts m)))
     slos;
   List.rev !log
 

@@ -19,6 +19,9 @@ type variant_impl =
       out_bytes : int;
     }
 
+(** Metric handles of a deployed kernel. *)
+type kernel_metrics
+
 type deployed_kernel = {
   kname : string;
   impls : (string * variant_impl) list;
@@ -27,6 +30,7 @@ type deployed_kernel = {
       (** One circuit breaker per hardware variant: repeated failures trip
           it and requests degrade to software until a half-open probe
           succeeds. *)
+  metrics : kernel_metrics;  (** Bound at {!deploy}: {!serve} looks none up. *)
 }
 
 type t = {
@@ -47,7 +51,8 @@ type t = {
     when the host has FPGAs, a vFPGA context.  Pass [tracer] (usually
     {!sim_tracer} on the same cluster) to record per-request spans;
     [registry] (default {!Everest_telemetry.Metrics.default}) receives the
-    [orchestrator_*], [tuner_*] and [protection_*] metrics. *)
+    [orchestrator_*], [tuner_*] and [protection_*] metrics; the tuner
+    itself writes none. *)
 val create :
   ?vcpus:int ->
   ?tracer:Everest_telemetry.Trace.t ->
@@ -59,9 +64,10 @@ val create :
 (** A tracer driven by the cluster's simulated clock. *)
 val sim_tracer : ?capacity:int -> Cluster.t -> Everest_telemetry.Trace.t
 
-(** Snapshot the runtime layers — tuner decisions, vFPGA activity, the data
-    protection monitors — into telemetry gauges (also called at the end of
-    every [serve]). *)
+(** Snapshot the runtime layers — tuner decisions, breakers, vFPGA
+    activity, the data protection monitors, the cluster — into gauges of
+    the orchestrator's registry.  {!serve} does not call it: a caller that
+    reads the registry takes the snapshot ([Everest.Sdk.serve] does). *)
 val publish_metrics : t -> unit
 
 (** Deploy a kernel with its variants; hardware bitstreams are preloaded

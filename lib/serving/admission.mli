@@ -21,6 +21,9 @@ type reason =
 
 val reason_name : reason -> string
 
+(** Every reason, in declaration order. *)
+val all_reasons : reason list
+
 type decision = Admit | Reject of reason
 
 type bucket_config = {

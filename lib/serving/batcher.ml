@@ -89,10 +89,3 @@ let oldest_age t ~now =
   List.fold_left
     (fun acc (_, p) -> Float.max acc (now -. p.p_oldest_s))
     0.0 t.t_keys
-
-let next_deadline t =
-  List.fold_left
-    (fun acc (_, p) ->
-      let d = p.p_oldest_s +. t.t_config.max_delay_s in
-      match acc with Some a when a <= d -> acc | _ -> Some d)
-    None t.t_keys

@@ -167,13 +167,27 @@ type ev =
   | Ev_spawn of int  (* delayed autoscale worker-up on one shard *)
   | Ev_tick  (* fabric control tick *)
 
+(* A tenant's SLO monitors and metric handles.  Each handle is bound at
+   its first use, so a series enters the registry, and the watch's
+   scrape, at the tick it first has a value.  A fabric runs on one
+   domain, so no lazy is ever forced concurrently. *)
+type tenant = {
+  tn_monitors : Slo.monitor list;
+  tn_requests : Metrics.counter Lazy.t;
+  tn_served : Metrics.counter Lazy.t;
+  tn_failed : Metrics.counter Lazy.t;
+  tn_shed : (Admission.reason * Metrics.counter Lazy.t) list;
+  tn_latency : Metrics.histogram Lazy.t;
+  tn_sketch : Everest_watch.Sketch.t Lazy.t;  (* forced only under a watch *)
+}
+
 type state = {
   st_config : config;
   st_sim : Desim.t;
   st_shards : Shard.t array;
   st_balancer : Balancer.t;
   st_admission : Admission.t;
-  st_monitors : (string * Slo.monitor list) list;  (* per tenant *)
+  st_tenants : (string * tenant) list;
   st_users : Workload.closed_user list;
   st_user_index : (string * int, Workload.closed_user) Hashtbl.t;
       (* (tenant, user index) -> first such user in [st_users] *)
@@ -207,10 +221,7 @@ let routable st sid ~now =
   && (not (Shard.draining shard))
   && Shard.depth shard < st.st_config.max_queue
 
-let tenant_monitors st tenant =
-  Option.value ~default:[] (List.assoc_opt tenant st.st_monitors)
-
-let counter st ?labels name = Metrics.counter ~registry:st.st_registry ?labels name
+let tenant st name = List.assoc name st.st_tenants
 
 (* ---- event digests ------------------------------------------------------------ *)
 
@@ -317,41 +328,26 @@ let rec resolve st (rq : Workload.request) ~shard ~outcome ~batch ~variant
       sr_attempts = attempts; sr_variant = variant; sr_degraded = degraded }
   in
   st.st_log <- entry :: st.st_log;
+  let tn = tenant st rq.Workload.rq_tenant in
   (match outcome with
   | Served ->
-      Metrics.inc
-        (counter st ~labels:[ ("tenant", rq.Workload.rq_tenant) ]
-           "serving_served_total");
-      Metrics.observe
-        (Metrics.histogram ~registry:st.st_registry
-           ~labels:[ ("tenant", rq.Workload.rq_tenant) ]
-           "serving_latency_s")
-        latency;
+      Metrics.inc (Lazy.force tn.tn_served);
+      Metrics.observe (Lazy.force tn.tn_latency) latency;
       List.iter
         (fun m -> Slo.observe m ~now ~latency_s:latency ~ok:true ())
-        (tenant_monitors st rq.Workload.rq_tenant);
+        tn.tn_monitors;
       (match st.st_watch with
-      | Some w ->
-          Watch.observe w ~now
-            ~labels:[ ("tenant", rq.Workload.rq_tenant) ]
-            "latency" latency
+      | Some w -> Watch.observe w ~now (Lazy.force tn.tn_sketch) latency
       | None -> ());
       st.st_outstanding <- st.st_outstanding - 1
   | Failed _ ->
-      Metrics.inc
-        (counter st ~labels:[ ("tenant", rq.Workload.rq_tenant) ]
-           "serving_failed_total");
+      Metrics.inc (Lazy.force tn.tn_failed);
       List.iter
         (fun m -> Slo.observe m ~now ~latency_s:latency ~ok:false ())
-        (tenant_monitors st rq.Workload.rq_tenant);
+        tn.tn_monitors;
       st.st_outstanding <- st.st_outstanding - 1
   | Rejected reason ->
-      Metrics.inc
-        (counter st
-           ~labels:
-             [ ("tenant", rq.Workload.rq_tenant);
-               ("reason", Admission.reason_name reason) ]
-           "serving_shed_total"));
+      Metrics.inc (Lazy.force (List.assoc reason tn.tn_shed)));
   (* closed-loop continuation: the user thinks, then asks again *)
   if rq.Workload.rq_user >= 0 then
     match
@@ -384,9 +380,7 @@ and handle_arrival st (rq : Workload.request) ~fresh =
   let now = Desim.now st.st_sim in
   if fresh then begin
     st.st_arrivals_pending <- st.st_arrivals_pending - 1;
-    Metrics.inc
-      (counter st ~labels:[ ("tenant", rq.Workload.rq_tenant) ]
-         "serving_requests_total")
+    Metrics.inc (Lazy.force (tenant st rq.Workload.rq_tenant).tn_requests)
   end;
   let admitted =
     if not fresh then true
@@ -667,18 +661,35 @@ let mk_state ~registry config ~deploy ~tenants ~horizon ~recovery ~watch =
           ~deploy ())
   in
   let tenant_names = List.map (fun t -> t.Workload.t_name) tenants in
-  let monitors =
-    List.map
-      (fun name ->
-        ( name,
-          List.map (Slo.monitor ~alert:config.alert)
-            (instantiate_slos config name) ))
-      tenant_names
+  let tenant_state name =
+    let labels = [ ("tenant", name) ] in
+    let counter ?(labels = labels) metric =
+      lazy (Metrics.counter ~registry ~labels metric)
+    in
+    { tn_monitors =
+        List.map (Slo.monitor ~alert:config.alert)
+          (instantiate_slos config name);
+      tn_requests = counter "serving_requests_total";
+      tn_served = counter "serving_served_total";
+      tn_failed = counter "serving_failed_total";
+      tn_shed =
+        List.map
+          (fun r ->
+            ( r,
+              counter
+                ~labels:(("reason", Admission.reason_name r) :: labels)
+                "serving_shed_total" ))
+          Admission.all_reasons;
+      tn_latency = lazy (Metrics.histogram ~registry ~labels "serving_latency_s");
+      tn_sketch =
+        lazy (Watch.sketch (Option.get watch) ~name:"latency" ~labels) }
+  in
+  let tenant_states =
+    List.map (fun name -> (name, tenant_state name)) tenant_names
   in
   let admission =
     Admission.create config.admission ~tenants:tenant_names
-      ~monitors:(fun name ->
-        Option.value ~default:[] (List.assoc_opt name monitors))
+      ~monitors:(fun name -> (List.assoc name tenant_states).tn_monitors)
   in
   let users = Workload.closed_users ~seed:config.seed tenants in
   let user_index = Hashtbl.create (List.length users) in
@@ -689,7 +700,7 @@ let mk_state ~registry config ~deploy ~tenants ~horizon ~recovery ~watch =
     users;
   { st_config = config; st_sim = sim; st_shards = shards;
     st_balancer = Balancer.create config.balancer ~n_shards:config.n_shards;
-    st_admission = admission; st_monitors = monitors; st_users = users;
+    st_admission = admission; st_tenants = tenant_states; st_users = users;
     st_user_index = user_index;
     st_horizon = horizon; st_registry = registry; st_log = [];
     st_outstanding = 0; st_arrivals_pending = 0; st_next_id = 0;
@@ -723,7 +734,7 @@ let finish st =
   let registry = st.st_registry in
   let shards = st.st_shards in
   let horizon = st.st_horizon in
-  let tenant_names = List.map fst st.st_monitors in
+  let tenant_names = List.map fst st.st_tenants in
   let log =
     List.sort (fun a b -> compare a.sr_id b.sr_id) (List.rev st.st_log)
   in
@@ -759,7 +770,7 @@ let finish st =
         List.fold_left
           (fun acc m -> acc + Slo.alerts m)
           0
-          (tenant_monitors st name) }
+          (tenant st name).tn_monitors }
   in
   let shard_report (s : Shard.t) =
     { sh_id = s.Shard.s_id; sh_served = s.Shard.s_served;

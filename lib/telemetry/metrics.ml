@@ -164,34 +164,41 @@ let kind_name = function
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
-let get_or_create r name labels help mk same_kind =
+(* [counter]/[gauge]/[histogram] calls so far: hot paths bind handles
+   once, and tests gate on this count. *)
+let n_lookups = Atomic.make 0
+let lookups () = Atomic.get n_lookups
+
+(* The cell of metric (name, labels), created by [mk] on first use;
+   [cell] extracts it, and [None] means another kind holds the name. *)
+let get_or_create r name labels help mk cell =
+  Atomic.incr n_lookups;
   if not (valid_name name) then
     invalid_arg (Printf.sprintf "metrics: invalid metric name %S" name);
   let labels = normalize_labels labels in
-  locked (fun () ->
-      match Hashtbl.find_opt r.tbl (name, labels) with
-      | Some m ->
-          if not (same_kind m.value) then
-            invalid_arg
-              (Printf.sprintf "metrics: %s already registered as a %s" name
-                 (kind_name m.value));
-          m.value
-      | None ->
-          let m = { mname = name; labels; help; value = mk () } in
-          Hashtbl.replace r.tbl (name, labels) m;
-          m.value)
+  let value =
+    locked (fun () ->
+        match Hashtbl.find_opt r.tbl (name, labels) with
+        | Some m -> m.value
+        | None ->
+            let m = { mname = name; labels; help; value = mk () } in
+            Hashtbl.replace r.tbl (name, labels) m;
+            m.value)
+  in
+  match cell value with
+  | Some c -> c
+  | None ->
+      invalid_arg
+        (Printf.sprintf "metrics: %s already registered as a %s" name
+           (kind_name value))
 
 type counter = float ref
 type gauge = float ref
 
 let counter ?(registry = default) ?(labels = []) ?(help = "") name : counter =
-  match
-    get_or_create registry name labels help
-      (fun () -> Counter (ref 0.0))
-      (function Counter _ -> true | _ -> false)
-  with
-  | Counter c -> c
-  | _ -> assert false
+  get_or_create registry name labels help
+    (fun () -> Counter (ref 0.0))
+    (function Counter c -> Some c | _ -> None)
 
 let inc ?(by = 1.0) (c : counter) =
   if by < 0.0 then invalid_arg "metrics: counters only go up";
@@ -200,26 +207,18 @@ let inc ?(by = 1.0) (c : counter) =
 let counter_value (c : counter) = !c
 
 let gauge ?(registry = default) ?(labels = []) ?(help = "") name : gauge =
-  match
-    get_or_create registry name labels help
-      (fun () -> Gauge (ref 0.0))
-      (function Gauge _ -> true | _ -> false)
-  with
-  | Gauge g -> g
-  | _ -> assert false
+  get_or_create registry name labels help
+    (fun () -> Gauge (ref 0.0))
+    (function Gauge g -> Some g | _ -> None)
 
 let set (g : gauge) v = g := v
 let add (g : gauge) v = g := !g +. v
 let gauge_value (g : gauge) = !g
 
 let histogram ?(registry = default) ?(labels = []) ?(help = "") name =
-  match
-    get_or_create registry name labels help
-      (fun () -> Histogram (make_histogram ()))
-      (function Histogram _ -> true | _ -> false)
-  with
-  | Histogram h -> h
-  | _ -> assert false
+  get_or_create registry name labels help
+    (fun () -> Histogram (make_histogram ()))
+    (function Histogram h -> Some h | _ -> None)
 
 let metrics r =
   locked (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) r.tbl [])

@@ -7,16 +7,12 @@
 
 let tracer = ref Trace.noop
 
-let set_tracer t = tracer := t
-let clear_tracer () = tracer := Trace.noop
-let current_tracer () = !tracer
 let enabled () = not (Trace.is_noop !tracer)
 
 (* Time source for [time_block]; swappable so tests (and simulated runs)
    can measure against a manual clock instead of the wall. *)
 let clock = ref Clock.wall
 
-let set_clock c = clock := c
 let current_clock () = !clock
 
 (* Install [c] for the duration of [f]. *)
@@ -60,6 +56,3 @@ let count ?registry ?labels ?(by = 1.0) name =
 
 let gauge_set ?registry ?labels name v =
   Metrics.set (Metrics.gauge ?registry ?labels name) v
-
-let observe ?registry ?labels name v =
-  Metrics.observe (Metrics.histogram ?registry ?labels name) v

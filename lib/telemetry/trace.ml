@@ -53,7 +53,6 @@ let name_track t track name =
   if not (List.mem_assoc track t.track_names) then
     t.track_names <- (track, name) :: t.track_names
 
-let track_name t track = List.assoc_opt track t.track_names
 let named_tracks t = List.sort compare t.track_names
 
 let start t ?parent ?(track = 0) ?(attrs = []) name =

@@ -44,7 +44,6 @@ val is_noop : t -> bool
     binding wins). *)
 val name_track : t -> int -> string -> unit
 
-val track_name : t -> int -> string option
 val named_tracks : t -> (int * string) list
 
 val start : t -> ?parent:int -> ?track:int -> ?attrs:attr list -> string -> span

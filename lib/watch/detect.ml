@@ -88,7 +88,6 @@ let kind d =
 let firing d = d.core.d_firing
 let alarms d = d.core.d_alarms
 let samples d = d.core.d_n
-let warmed d = d.core.d_n >= d.core.d_warmup
 
 (* Floor keeps a zero-variance baseline from dividing by zero while
    staying far below any real signal's dispersion: an exactly constant

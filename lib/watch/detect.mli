@@ -39,7 +39,6 @@ val firing : t -> bool
 val alarms : t -> int
 
 val samples : t -> int
-val warmed : t -> bool
 val reset : t -> unit
 
 (** {1 Phase segmentation} *)

@@ -55,7 +55,7 @@ let create ?(capacity = 256) ?(tiers = 3) ?(factor = 10) ?(res_s = 0.01)
   if tiers <= 0 then invalid_arg "Series.create: tiers <= 0";
   if factor < 2 then invalid_arg "Series.create: factor < 2";
   if res_s <= 0.0 then invalid_arg "Series.create: res_s <= 0";
-  let labels = List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels in
+  let labels = Everest_telemetry.Metrics.normalize_labels labels in
   { s_name = name; s_labels = labels;
     s_tiers =
       Array.init tiers (fun i ->
@@ -69,8 +69,6 @@ let create ?(capacity = 256) ?(tiers = 3) ?(factor = 10) ?(res_s = 0.01)
 let name s = s.s_name
 let labels s = s.s_labels
 let samples s = s.s_samples
-let n_tiers s = Array.length s.s_tiers
-let tier_res s i = s.s_tiers.(i).tr_res_s
 
 let push tier p =
   tier.tr_buf.(tier.tr_head) <- Some p;
@@ -170,10 +168,8 @@ module Store = struct
       =
     { tbl = Hashtbl.create 64; capacity; tiers; factor; res_s }
 
-  let norm labels = List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels
-
   let series st ~name ~labels =
-    let labels = norm labels in
+    let labels = Everest_telemetry.Metrics.normalize_labels labels in
     match Hashtbl.find_opt st.tbl (name, labels) with
     | Some s -> s
     | None ->
@@ -184,7 +180,9 @@ module Store = struct
         Hashtbl.replace st.tbl (name, labels) s;
         s
 
-  let find st ~name ~labels = Hashtbl.find_opt st.tbl (name, norm labels)
+  let find st ~name ~labels =
+    Hashtbl.find_opt st.tbl
+      (name, Everest_telemetry.Metrics.normalize_labels labels)
 
   let observe st ~now ~name ~labels v = observe (series st ~name ~labels) ~t:now v
 

@@ -37,11 +37,6 @@ val labels : t -> (string * string) list
 (** Raw observations ever recorded (not bounded by capacity). *)
 val samples : t -> int
 
-val n_tiers : t -> int
-
-(** Resolution of tier [i] in seconds; 0 for the raw tier. *)
-val tier_res : t -> int -> float
-
 val observe : t -> t:float -> float -> unit
 
 (** Points of one tier, oldest first, the still-open coarse window

@@ -27,9 +27,8 @@ let sketch_slots = 20
 type t = {
   w_interval_s : float;  (* scrape cadence on the watched clock *)
   w_store : Series.Store.t;
-  w_sketches : (string * (string * string) list, Sketch.t) Hashtbl.t;
-  mutable w_sketch_keys : (string * (string * string) list) list;
-      (* insertion-ordered keys for deterministic iteration *)
+  mutable w_sketches : (string * (string * string) list * Sketch.t) list;
+      (* in creation order, for deterministic iteration *)
   w_rules : Rules.t;
   mutable w_sources : Scrape.t list;  (* in registration order *)
   mutable w_last_tick : float;  (* nan = never ticked *)
@@ -44,8 +43,7 @@ let create ?(interval_s = default_interval_s) ?(rules = []) () =
   { w_interval_s = interval_s;
     w_store =
       Series.Store.create ~capacity ~tiers ~factor ~res_s:interval_s ();
-    w_sketches = Hashtbl.create 16;
-    w_sketch_keys = [];
+    w_sketches = [];
     w_rules = Rules.engine rules;
     w_sources = [];
     w_last_tick = Float.nan;
@@ -55,7 +53,6 @@ let create ?(interval_s = default_interval_s) ?(rules = []) () =
     w_on_tick = None }
 
 let store w = w.w_store
-let rules w = w.w_rules
 let ticks w = w.w_ticks
 let samples w = w.w_samples
 let work_s w = w.w_work_s
@@ -73,32 +70,32 @@ let add_source w src =
   else w.w_sources <- w.w_sources @ [ src ]
 let on_tick w f = w.w_on_tick <- Some f
 
-let norm labels = List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels
+let find_sketch w ~name ~labels =
+  let labels = Everest_telemetry.Metrics.normalize_labels labels in
+  List.find_map
+    (fun (n, l, sk) -> if String.equal n name && l = labels then Some sk else None)
+    w.w_sketches
 
 let sketch w ~name ~labels =
-  let key = (name, norm labels) in
-  match Hashtbl.find_opt w.w_sketches key with
-  | Some wd -> wd
+  match find_sketch w ~name ~labels with
+  | Some sk -> sk
   | None ->
-      let wd = Sketch.create ~bucket_s:sketch_bucket_s ~slots:sketch_slots () in
-      Hashtbl.replace w.w_sketches key wd;
-      w.w_sketch_keys <- w.w_sketch_keys @ [ key ];
-      wd
+      let sk = Sketch.create ~bucket_s:sketch_bucket_s ~slots:sketch_slots () in
+      w.w_sketches <-
+        w.w_sketches
+        @ [ (name, Everest_telemetry.Metrics.normalize_labels labels, sk) ];
+      sk
 
-let find_sketch w ~name ~labels =
-  Hashtbl.find_opt w.w_sketches (name, norm labels)
+(* Sketches in first-observation order (deterministic across same-seed
+   runs). *)
+let sketch_list w = w.w_sketches
 
-(* Sketch keys in first-observation order (deterministic across same-seed
-   runs, unlike hashtable order). *)
-let sketch_list w =
-  List.map (fun (n, l) -> (n, l, Hashtbl.find w.w_sketches (n, l))) w.w_sketch_keys
-
-(* Feed one sample into the named windowed sketch — the push half of the
-   pipeline (the pull half is the scrape).  Cheap enough for per-request
-   call sites: one bucket update plus two clock reads. *)
-let observe w ~now ?(labels = []) name v =
+(* Feed one sample into a sketch bound with [sketch] — the push half of
+   the pipeline (the pull half is the scrape).  Cheap enough for
+   per-request call sites: one bucket update plus two clock reads. *)
+let observe w ~now sk v =
   let t0 = Unix.gettimeofday () in
-  Sketch.observe (sketch w ~name ~labels) ~now v;
+  Sketch.observe sk ~now v;
   w.w_samples <- w.w_samples + 1;
   w.w_work_s <- w.w_work_s +. (Unix.gettimeofday () -. t0)
 

@@ -14,7 +14,6 @@ type t
     @raise Invalid_argument when [interval_s <= 0]. *)
 val create : ?interval_s:float -> ?rules:Rules.rule list -> unit -> t
 val store : t -> Series.Store.t
-val rules : t -> Rules.t
 val interval_s : t -> float
 
 (** Scrape ticks performed. *)
@@ -34,18 +33,16 @@ val add_source : t -> Scrape.t -> unit
 (** Called after every completed tick (dashboard followers). *)
 val on_tick : t -> (t -> now:float -> unit) -> unit
 
-(** Get or create the named windowed sketch. *)
+(** Get or create the named windowed sketch.  Callers on a hot path bind
+    it once, at its first use, and feed it with {!observe}. *)
 val sketch : t -> name:string -> labels:(string * string) list -> Sketch.t
-
-val find_sketch :
-  t -> name:string -> labels:(string * string) list -> Sketch.t option
 
 (** Sketches in first-observation order (deterministic). *)
 val sketch_list : t -> (string * (string * string) list * Sketch.t) list
 
-(** Feed one sample into the named windowed sketch. *)
-val observe :
-  t -> now:float -> ?labels:(string * string) list -> string -> float -> unit
+(** Feed one sample into a sketch of this watch (from {!sketch}),
+    counting it in {!samples} and its cost in {!work_s}. *)
+val observe : t -> now:float -> Sketch.t -> float -> unit
 
 (** Force a scrape tick now; returns the alerts that newly fired. *)
 val tick : t -> now:float -> Rules.alert_state list

@@ -441,6 +441,17 @@ let execute ?(faults = Faults.none) ?(policy = Policy.default)
       | Some info -> info
       | None -> (0, [])
   in
+  (* the watch's per-node task-duration sketches, each bound at the
+     node's first completion *)
+  let duration_sketch =
+    let sketches = Hashtbl.create 16 in
+    fun w node ->
+      try Hashtbl.find sketches node
+      with Not_found ->
+        let sk = Watch.sketch w ~name:"task_duration" ~labels:[ ("node", node) ] in
+        Hashtbl.add sketches node sk;
+        sk
+  in
   let dead (node : Node.t) =
     Faults.node_dead faults ~node:node.Node.name ~now:(Desim.now sim)
   in
@@ -751,8 +762,8 @@ let execute ?(faults = Faults.none) ?(policy = Policy.default)
       (match watch with
       | Some w ->
           Watch.observe w ~now
-            ~labels:[ ("node", tk.tk_node.Node.name) ]
-            "task_duration" (now -. t_start);
+            (duration_sketch w tk.tk_node.Node.name)
+            (now -. t_start);
           Watch.maybe_tick w ~now
       | None -> ());
       Option.iter (fun s -> Trace.finish tracer ~attrs:ok_attrs s) tk.tk_span;

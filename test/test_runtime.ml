@@ -186,6 +186,28 @@ let test_orchestrator_adaptive_prefers_hw () =
   let hw = Option.value ~default:0 (List.assoc_opt "hw" hist) in
   checkb "hw dominates" true (hw > 15)
 
+(* [serve] finds its metric handles bound at deploy time: after the first
+   call, only a variant's first observation looks a metric up by name. *)
+let test_orchestrator_binds_metrics_once () =
+  let orch = fresh_orch () in
+  let _ =
+    Orchestrator.deploy orch ~kname:"k" ~impls:(impls ())
+      ~knowledge:(knowledge_for_impls ())
+      ~goal:(Everest_autotune.Goal.make (Everest_autotune.Goal.Minimize "time_s"))
+  in
+  let serve_one () =
+    ignore
+      (Orchestrator.serve orch ~kernel:"k" ~n:1 ~policy:Orchestrator.Adaptive ())
+  in
+  serve_one ();
+  let before = Everest_telemetry.Metrics.lookups () in
+  for _ = 2 to 50 do
+    serve_one ()
+  done;
+  checkb "at most one lookup per variant" true
+    (Everest_telemetry.Metrics.lookups () - before
+    <= List.length (impls ()))
+
 let test_orchestrator_adapts_to_contention () =
   let orch = fresh_orch () in
   let _ =
@@ -289,6 +311,8 @@ let () =
       ( "orchestrator",
         [ Alcotest.test_case "fixed" `Quick test_orchestrator_fixed_policies;
           Alcotest.test_case "adaptive prefers hw" `Quick test_orchestrator_adaptive_prefers_hw;
+          Alcotest.test_case "serve binds its metrics once" `Quick
+            test_orchestrator_binds_metrics_once;
           Alcotest.test_case "adapts to contention" `Quick test_orchestrator_adapts_to_contention;
           Alcotest.test_case "random explores" `Quick test_orchestrator_random_policy;
           Alcotest.test_case "breaker degrades hw to sw" `Quick

@@ -314,13 +314,13 @@ let test_autoscale_backlog_age_trigger () =
 
 (* ---- fabric --------------------------------------------------------------- *)
 
-let run_fabric ?(config_f = Fun.id) ~n_shards ~seed () =
+let run_fabric ?(config_f = Fun.id) ?(horizon = 0.3) ~n_shards ~seed () =
   let config = config_f (Fabric.default_config ~n_shards) in
   Fabric.run ~registry:(Metrics.create_registry ())
     { config with Fabric.seed }
     ~deploy:(Fabric.demo_deploy ())
     ~tenants:[ acme ~rate:150.0 (); globex () ]
-    ~horizon:0.3
+    ~horizon
 
 let test_fabric_serves_the_workload () =
   let r = run_fabric ~n_shards:2 ~seed:11 () in
@@ -343,6 +343,20 @@ let test_fabric_serves_the_workload () =
          r.Fabric.f_log)
   in
   checkb "load spread over shards" true (List.length shards = 2)
+
+(* Every metric handle on the request path is bound once, when its state
+   is built: twice the horizon serves about twice the requests with the
+   same number of registry lookups. *)
+let test_fabric_binds_metrics_once () =
+  let run horizon =
+    let before = Metrics.lookups () in
+    let r = run_fabric ~horizon ~n_shards:2 ~seed:11 () in
+    (Metrics.lookups () - before, List.length r.Fabric.f_log)
+  in
+  let l1, n1 = run 0.3 in
+  let l2, n2 = run 0.6 in
+  checkb "twice the horizon, more requests" true (n2 > 3 * n1 / 2);
+  checki "same registry lookups" l1 l2
 
 let test_fabric_same_seed_identical () =
   let a = run_fabric ~n_shards:2 ~seed:5 ()
@@ -756,6 +770,8 @@ let () =
             test_fabric_serves_the_workload;
           Alcotest.test_case "same seed is byte-identical" `Quick
             test_fabric_same_seed_identical;
+          Alcotest.test_case "fabric binds its metrics once" `Quick
+            test_fabric_binds_metrics_once;
           Alcotest.test_case "batches under load" `Quick
             test_fabric_batches_under_load;
           Alcotest.test_case "drains a dead shard" `Quick

@@ -421,6 +421,43 @@ let test_orchestrator_closed_loop_traced () =
       checki "latency histogram count" n (Metrics.hist_count h)
   | _ -> Alcotest.fail "latency histogram missing")
 
+(* The orchestrator's registry receives every metric of its loop: the
+   tuner's observed-latency histograms land there, not in the default
+   registry, and the gauges appear when a reader takes the snapshot. *)
+let test_orchestrator_metrics_in_own_registry () =
+  let registry = Metrics.create_registry () in
+  let cluster = Cluster.create [ Cluster.power9_node "p9" ] in
+  let orch = Orchestrator.create ~registry cluster ~host_name:"p9" in
+  let kernel = "own-registry" in
+  let _ =
+    Orchestrator.deploy orch ~kname:kernel
+      ~impls:
+        [ ("sw", Orchestrator.Sw { flops = 5e8; bytes = 1e5; threads = 2 }) ]
+      ~knowledge:
+        (Everest_autotune.Knowledge.create kernel
+           [ { Everest_autotune.Knowledge.variant = "sw"; features = [];
+               metrics = [ ("time_s", 0.01) ] } ])
+      ~goal:(Everest_autotune.Goal.make (Everest_autotune.Goal.Minimize "time_s"))
+  in
+  let n = 12 in
+  ignore (Orchestrator.serve orch ~kernel ~n ~policy:Orchestrator.Adaptive ());
+  let labels = [ ("kernel", kernel) ] in
+  checkb "no snapshot before publish" true
+    (Metrics.find ~registry ~labels "tuner_selections" = None);
+  Orchestrator.publish_metrics orch;
+  (match Metrics.find ~registry ~labels "tuner_selections" with
+  | Some { Metrics.value = Metrics.Gauge g; _ } ->
+      checki "tuner_selections = n" n (int_of_float !g)
+  | _ -> Alcotest.fail "tuner_selections missing");
+  let observed = ("variant", "sw") :: labels in
+  (match Metrics.find ~registry ~labels:observed "tuner_observed_time_s" with
+  | Some { Metrics.value = Metrics.Histogram h; _ } ->
+      checki "every request observed" n (Metrics.hist_count h)
+  | _ -> Alcotest.fail "tuner_observed_time_s not in the own registry");
+  checkb "nothing in the default registry" true
+    (Metrics.find ~labels:observed "tuner_observed_time_s" = None
+    && Metrics.find ~labels "tuner_selections_total" = None)
+
 (* ---- probe API ------------------------------------------------------------------ *)
 
 let test_probe_scoped_tracer () =
@@ -734,7 +771,9 @@ let () =
         [ Alcotest.test_case "wait stats" `Quick test_resource_wait_stats ] );
       ( "orchestrator",
         [ Alcotest.test_case "closed loop traced" `Quick
-            test_orchestrator_closed_loop_traced ] );
+            test_orchestrator_closed_loop_traced;
+          Alcotest.test_case "metrics land in its own registry" `Quick
+            test_orchestrator_metrics_in_own_registry ] );
       ( "probe",
         [ Alcotest.test_case "scoped tracer" `Quick test_probe_scoped_tracer;
           Alcotest.test_case "time_block" `Quick

@@ -363,8 +363,9 @@ let test_dashboard_deterministic () =
     Metrics.set (Metrics.gauge ~registry:r "g") 3.0;
     let w = Watch.create () in
     Watch.add_source w (Scrape.of_registry r);
-    Watch.observe w ~now:0.02 ~labels:[ ("t", "a") ] "lat" 0.004;
-    Watch.observe w ~now:0.03 ~labels:[ ("t", "a") ] "lat" 0.005;
+    let lat = Watch.sketch w ~name:"lat" ~labels:[ ("t", "a") ] in
+    Watch.observe w ~now:0.02 lat 0.004;
+    Watch.observe w ~now:0.03 lat 0.005;
     ignore (Watch.tick w ~now:0.05);
     (Live.render w ~now:0.05, Live.render_json w ~now:0.05)
   in
