@@ -8,7 +8,9 @@
    e16 scale the recovery bench uses (16 shards, 12800 req/s, 1 s):
 
      1. Overhead: scraping + sketch feeds + rule evaluation tax the
-        watched run by <5% wall time (full mode).
+        watched run by <5% wall time (full mode), and, beside that
+        relative gate, a scrape tick stays inside absolute budgets of
+        wall time and allocated words.
      2. Nothing changes: the watched run's served log / SLO verdicts /
         summary are byte-identical to the unwatched same-seed run, and
         two watched runs render byte-identical dashboards.
@@ -27,13 +29,22 @@ module Json = Everest_telemetry.Json
    ATTRIBUTED — the watch clocks its own code paths (scrape ticks, rule
    evaluation, sketch observes) into [Watch.work_s], and the fraction
    work/(total-work) comes out of a single run where the host's noise
-   multiplier cancels. *)
+   multiplier cancels.
+
+   The fraction cannot see garbage collection: words a tick allocates are
+   collected later, inside whatever code runs next, and a faster fabric
+   shrinks the denominator.  So each row also records the absolute cost of
+   a tick — attributed wall us per tick, and the minor-heap words one tick
+   allocates once the registry is steady (counted, so deterministic) — and
+   both are gated against fixed budgets. *)
 
 type row = {
   r_interval_s : float;
   r_run_s : float;  (* best watched run wall time *)
   r_overhead : float;  (* median attributed work/(total-work) fraction *)
   r_ticks : int;
+  r_us_per_tick : float;  (* median attributed wall us per scrape tick *)
+  r_words_per_tick : float;  (* minor words per tick on a steady registry *)
   r_series : int;
   r_sketch_samples : int;
   r_log_identical : bool;  (* watched fabric output == unwatched *)
@@ -44,6 +55,8 @@ let row_json r =
   Json.Obj
     [ ("interval_s", Json.Num r.r_interval_s); ("run_s", Json.Num r.r_run_s);
       ("overhead_frac", Json.Num r.r_overhead); ("ticks", Json.int r.r_ticks);
+      ("us_per_tick", Json.Num r.r_us_per_tick);
+      ("words_per_tick", Json.Num r.r_words_per_tick);
       ("series", Json.int r.r_series);
       ("sketch_samples", Json.int r.r_sketch_samples);
       ("log_identical", Json.Bool r.r_log_identical);
@@ -103,7 +116,7 @@ let () =
   let rows =
     List.map
       (fun interval ->
-        let best = ref infinity and attrs = ref [] in
+        let best = ref infinity and attrs = ref [] and per_tick = ref [] in
         let last = ref None in
         for _ = 1 to reps do
           let w = mk_watch interval in
@@ -111,6 +124,8 @@ let () =
           if t < !best then best := t;
           let work = W.Watch.work_s w in
           attrs := (work /. Float.max 1e-9 (t -. work)) :: !attrs;
+          per_tick :=
+            (1e6 *. work /. float_of_int (max 1 (W.Watch.ticks w))) :: !per_tick;
           last := Some (r, w)
         done;
         let r1, w1 = Option.get !last in
@@ -119,23 +134,39 @@ let () =
         let w2 = mk_watch interval in
         ignore (run ~watch:w2 ~faults:Res.Faults.none ());
         let dash w = W.Live.render w ~now:horizon ^ W.Live.render_json w ~now:horizon in
+        let dash1 = dash w1 and dash2 = dash w2 in
+        (* steady-state allocation: tick the second run's watch on past its
+           horizon, where no metric is registered any more, until its raw
+           rings are full (256 points), then count 1000 ticks (the coarse
+           rings still double into their capacity inside that span) *)
+        let tick_at k =
+          ignore (W.Watch.tick w2 ~now:(horizon +. (interval *. float_of_int k)))
+        in
+        for k = 1 to 300 do tick_at k done;
+        let before = Gc.minor_words () in
+        for k = 301 to 1300 do tick_at k done;
+        let words = (Gc.minor_words () -. before) /. 1000.0 in
         let row =
           { r_interval_s = interval;
             r_run_s = !best;
             r_overhead = Util.median !attrs;
             r_ticks = W.Watch.ticks w1;
+            r_us_per_tick = Util.median !per_tick;
+            r_words_per_tick = words;
             r_series = W.Series.Store.size (W.Watch.store w1);
             r_sketch_samples = W.Watch.samples w1;
             r_log_identical = String.equal plain (Util.render r1);
-            r_dash_identical = String.equal (dash w1) (dash w2) }
+            r_dash_identical = String.equal dash1 dash2 }
         in
         Printf.printf
-          "  every %.3fs: run %s, attributed %+.2f%%, %d ticks, %d series, \
-           %d sketch samples, log_identical=%b dash_identical=%b\n\
+          "  every %.3fs: run %s, attributed %+.2f%%, %d ticks (%.1f us, \
+           %.0f words each), %d series, %d sketch samples, \
+           log_identical=%b dash_identical=%b\n\
            %!"
           interval (Util.time_str row.r_run_s)
           (100.0 *. row.r_overhead)
-          row.r_ticks row.r_series row.r_sketch_samples row.r_log_identical
+          row.r_ticks row.r_us_per_tick row.r_words_per_tick row.r_series
+          row.r_sketch_samples row.r_log_identical
           row.r_dash_identical;
         row)
       intervals
@@ -199,13 +230,16 @@ let () =
   print_newline ();
   Util.table
     ~cols:
-      [ "interval"; "run"; "overhead"; "ticks"; "series"; "sketch obs";
-        "log id"; "dash id" ]
+      [ "interval"; "run"; "overhead"; "ticks"; "us/tick"; "words/tick";
+        "series"; "sketch obs"; "log id"; "dash id" ]
     (List.map
        (fun r ->
          [ Printf.sprintf "%.3fs" r.r_interval_s; Util.time_str r.r_run_s;
            Printf.sprintf "%+.2f%%" (100.0 *. r.r_overhead);
-           string_of_int r.r_ticks; string_of_int r.r_series;
+           string_of_int r.r_ticks;
+           Printf.sprintf "%.1f" r.r_us_per_tick;
+           Printf.sprintf "%.0f" r.r_words_per_tick;
+           string_of_int r.r_series;
            string_of_int r.r_sketch_samples;
            string_of_bool r.r_log_identical;
            string_of_bool r.r_dash_identical ])
@@ -223,11 +257,26 @@ let () =
       (List.hd rows) rows
   in
   let overhead_ok = densest.r_overhead < overhead_budget in
+  (* Absolute budgets beside it.  Wall us per tick is read at the densest
+     interval too: [work_s] also holds the per-request sketch feeds, which
+     sparser rows spread over fewer ticks (quick runs, on hosts of unknown
+     speed, get a loose bound).  Words per tick are counted, so every row
+     must stay within 10 words per series. *)
+  let us_per_tick_budget = if quick then 200.0 else 80.0 in
+  let words_per_series_budget = 10.0 in
+  let tick_ok =
+    densest.r_us_per_tick <= us_per_tick_budget
+    && List.for_all
+         (fun r ->
+           r.r_words_per_tick
+           <= words_per_series_budget *. float_of_int r.r_series)
+         rows
+  in
   let identity_ok =
     List.for_all (fun r -> r.r_log_identical && r.r_dash_identical) rows
   in
   let detect_ok = clean_edges = 0 && fault_cusum > 0 in
-  let passed = overhead_ok && identity_ok && detect_ok in
+  let passed = overhead_ok && tick_ok && identity_ok && detect_ok in
   let json =
     Json.Obj
       [ ("shards", Json.int shards); ("rate_rps", Json.Num rate);
@@ -235,6 +284,8 @@ let () =
         ("sweep", Json.Arr (List.map row_json rows));
         ("densest_overhead_frac", Json.Num densest.r_overhead);
         ("overhead_budget", Json.Num overhead_budget);
+        ("us_per_tick_budget", Json.Num us_per_tick_budget);
+        ("words_per_series_tick_budget", Json.Num words_per_series_budget);
         ("byte_identity", Json.Bool identity_ok);
         ("clean_alert_edges", Json.int clean_edges);
         ("cliff_cusum_edges", Json.int fault_cusum); ("quick", Json.Bool quick);
@@ -244,11 +295,13 @@ let () =
     ~expected:
       (Printf.sprintf
          "Expected shape: watching taxes the fault-free run by well under\n\
-          %.0f%% even at the densest scrape interval, the watched run's output\n\
-          and two watched runs' dashboards are byte-identical, the capacity\n\
-          cliff trips the CUSUM latency alert and the clean run trips nothing.\n"
-         (100.0 *. overhead_budget))
-    "E20 FAILED: overhead_ok=%b (%.3f at %.3fs interval) identity_ok=%b \
-     detect_ok=%b (clean=%d cliff=%d)"
-    overhead_ok densest.r_overhead densest.r_interval_s identity_ok detect_ok
-    clean_edges fault_cusum
+          %.0f%% even at the densest scrape interval, where a tick costs at\n\
+          most %.0f us; a steady tick allocates at most %.0f words per series;\n\
+          the watched run's output and two watched runs' dashboards are\n\
+          byte-identical, the capacity cliff trips the CUSUM latency alert\n\
+          and the clean run trips nothing.\n"
+         (100.0 *. overhead_budget) us_per_tick_budget words_per_series_budget)
+    "E20 FAILED: overhead_ok=%b (%.3f at %.3fs interval) tick_ok=%b (%.1f \
+     us) identity_ok=%b detect_ok=%b (clean=%d cliff=%d)"
+    overhead_ok densest.r_overhead densest.r_interval_s tick_ok
+    densest.r_us_per_tick identity_ok detect_ok clean_edges fault_cusum

@@ -105,7 +105,9 @@ let serve ?(n = 100) ?(goal = Autotune.Goal.make (Autotune.Goal.Minimize "time_s
     Runtime.Orchestrator.serve orch ~kernel ~n
       ~policy:Runtime.Orchestrator.Adaptive ?slowdown ()
   in
-  Runtime.Orchestrator.publish_metrics orch;
+  (* labeled, so the snapshot of this private cluster never overwrites a
+     workflow's unlabeled [desim_*]/[cluster_*] gauges in the registry *)
+  Runtime.Orchestrator.publish_metrics ~labels:[ ("phase", "serving") ] orch;
   {
     kernel;
     requests = List.length log;

@@ -73,7 +73,9 @@ type served = {
     injects contention.  [telemetry] records per-request spans into
     [span_log].  Metrics always accumulate in
     {!Everest_telemetry.Metrics.default}, and the run ends with one
-    {!Runtime.Orchestrator.publish_metrics} snapshot there.
+    {!Runtime.Orchestrator.publish_metrics} snapshot there, labeled
+    [phase=serving] so that it does not overwrite the gauges a workflow
+    run published for its own cluster.
     @raise Invalid_argument on unknown kernels. *)
 val serve :
   ?n:int ->

@@ -76,18 +76,20 @@ let total_energy c =
 
 (* Snapshot the whole system — engine counters, per-resource contention,
    transfer totals — into telemetry gauges. *)
-let publish_metrics ?registry c =
+let publish_metrics ?registry ?labels c =
   let module M = Everest_telemetry.Metrics in
-  Desim.publish ?registry c.sim;
+  Desim.publish ?registry ?labels c.sim;
   List.iter
     (fun (n : Node.t) ->
-      Desim.publish_resource ?registry n.Node.cores;
+      Desim.publish_resource ?registry ?labels n.Node.cores;
       List.iter
-        (fun (d : Node.fpga_dev) -> Desim.publish_resource ?registry d.Node.slots)
+        (fun (d : Node.fpga_dev) ->
+          Desim.publish_resource ?registry ?labels d.Node.slots)
         n.Node.fpgas)
     c.nodes;
-  M.set (M.gauge ?registry "cluster_bytes_moved") (float_of_int c.bytes_moved);
-  M.set (M.gauge ?registry "cluster_transfers") (float_of_int c.transfers)
+  M.set (M.gauge ?registry ?labels "cluster_bytes_moved")
+    (float_of_int c.bytes_moved);
+  M.set (M.gauge ?registry ?labels "cluster_transfers") (float_of_int c.transfers)
 
 (* ---- canonical EVEREST systems (Fig. 4) ----------------------------------------- *)
 

@@ -36,8 +36,13 @@ val elapsed : t -> float
 val total_energy : t -> float
 
 (** Snapshot the whole system — engine counters, per-resource contention,
-    transfer totals — into telemetry gauges. *)
-val publish_metrics : ?registry:Everest_telemetry.Metrics.registry -> t -> unit
+    transfer totals — into telemetry gauges labeled [labels] (default
+    none), so two clusters can share a registry. *)
+val publish_metrics :
+  ?registry:Everest_telemetry.Metrics.registry ->
+  ?labels:(string * string) list ->
+  t ->
+  unit
 
 (** {2 Canonical EVEREST systems (Fig. 4)} *)
 

@@ -254,9 +254,10 @@ let wait_stats r =
 
 (* Publish the engine and resource state into telemetry gauges/histograms of
    [registry] — the monitoring feed of the self-adaptive loop. *)
-let publish_resource ?registry r =
+let publish_resource ?registry ?(labels = []) r =
   let module M = Everest_telemetry.Metrics in
-  let labels = [ ("resource", r.rname) ] in
+  let shared = labels in
+  let labels = ("resource", r.rname) :: labels in
   M.set (M.gauge ?registry ~labels "desim_resource_peak")
     (float_of_int r.peak);
   M.set (M.gauge ?registry ~labels "desim_resource_waits")
@@ -265,11 +266,13 @@ let publish_resource ?registry r =
     (mean_wait_s r);
   if r.total_wait_s > 0.0 then
     M.observe
-      (M.histogram ?registry "desim_resource_wait_s")
+      (M.histogram ?registry ~labels:shared "desim_resource_wait_s")
       (mean_wait_s r)
 
-let publish ?registry sim =
+let publish ?registry ?labels sim =
   let module M = Everest_telemetry.Metrics in
-  M.set (M.gauge ?registry "desim_events_executed") (float_of_int sim.executed);
-  M.set (M.gauge ?registry "desim_events_pending") (float_of_int (pending sim));
-  M.set (M.gauge ?registry "desim_now_s") sim.now
+  M.set (M.gauge ?registry ?labels "desim_events_executed")
+    (float_of_int sim.executed);
+  M.set (M.gauge ?registry ?labels "desim_events_pending")
+    (float_of_int (pending sim));
+  M.set (M.gauge ?registry ?labels "desim_now_s") sim.now

@@ -48,8 +48,12 @@ val executed : t -> int
 val pending : t -> int
 
 (** Snapshot engine counters (events executed/pending, simulated now) into
-    telemetry gauges. *)
-val publish : ?registry:Everest_telemetry.Metrics.registry -> t -> unit
+    telemetry gauges, labeled [labels] (default none). *)
+val publish :
+  ?registry:Everest_telemetry.Metrics.registry ->
+  ?labels:(string * string) list ->
+  t ->
+  unit
 
 (** {2 FIFO resources} *)
 
@@ -99,6 +103,9 @@ val mean_wait_s : resource -> float
 val wait_stats : resource -> wait_stats
 
 (** Snapshot one resource's contention state into telemetry gauges labeled
-    [resource=<name>]. *)
+    [resource=<name>] plus [labels]. *)
 val publish_resource :
-  ?registry:Everest_telemetry.Metrics.registry -> resource -> unit
+  ?registry:Everest_telemetry.Metrics.registry ->
+  ?labels:(string * string) list ->
+  resource ->
+  unit

@@ -133,11 +133,15 @@ let find_kernel orch name =
 
 (* Snapshot the runtime layers — tuner decisions, vFPGA activity, the data
    protection monitors — into telemetry gauges of the orchestrator's
-   registry.  Nothing on the request path reads these gauges, so [serve]
-   leaves the snapshot to whoever reads the registry. *)
-let publish_metrics orch =
+   registry, each labeled [labels] too.  Nothing on the request path reads
+   these gauges, so [serve] leaves the snapshot to whoever reads the
+   registry. *)
+let publish_metrics ?(labels = []) orch =
   let registry = orch.registry in
-  let g ?labels name v = Metrics.set (Metrics.gauge ~registry ?labels name) v in
+  let shared = labels in
+  let g ?(labels = []) name v =
+    Metrics.set (Metrics.gauge ~registry ~labels:(labels @ shared) name) v
+  in
   List.iter
     (fun dk ->
       let labels = [ ("kernel", dk.kname) ] in
@@ -163,7 +167,7 @@ let publish_metrics orch =
   g "vfpga_active_contexts"
     (float_of_int (Vfpga.active_contexts orch.vfpga_mgr));
   g "vfpga_denied" (float_of_int orch.vfpga_mgr.Vfpga.denied);
-  Cluster.publish_metrics ~registry orch.cluster
+  Cluster.publish_metrics ~registry ~labels:shared orch.cluster
 
 (* Execute one variant; [k] receives the measured latency (simulated). *)
 let execute orch (dk : deployed_kernel) ~variant

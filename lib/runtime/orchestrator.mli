@@ -66,9 +66,10 @@ val sim_tracer : ?capacity:int -> Cluster.t -> Everest_telemetry.Trace.t
 
 (** Snapshot the runtime layers — tuner decisions, breakers, vFPGA
     activity, the data protection monitors, the cluster — into gauges of
-    the orchestrator's registry.  {!serve} does not call it: a caller that
-    reads the registry takes the snapshot ([Everest.Sdk.serve] does). *)
-val publish_metrics : t -> unit
+    the orchestrator's registry, each also labeled [labels] (default
+    none).  {!serve} does not call it: a caller that reads the registry
+    takes the snapshot ([Everest.Sdk.serve] does). *)
+val publish_metrics : ?labels:(string * string) list -> t -> unit
 
 (** Deploy a kernel with its variants; hardware bitstreams are preloaded
     (deployment-time configuration) and every hardware variant gets a

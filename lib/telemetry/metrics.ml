@@ -85,30 +85,34 @@ let hist_merge_into ~into src =
   into.h_min <- Float.min into.h_min src.h_min;
   into.h_max <- Float.max into.h_max src.h_max
 
-(* Estimated value at quantile [q] in [0,1]. *)
+(* Estimated value at quantile [q] in [0,1].  A plain loop, not a closure:
+   the watch reads three quantiles of every histogram on every tick. *)
 let quantile h q =
   if h.h_count = 0 then 0.0
   else begin
     let q = Float.max 0.0 (Float.min 1.0 q) in
     let rank = q *. float_of_int h.h_count in
     let upper = bucket_upper in
-    let rec scan i cum =
-      if i >= n_buckets then h.h_max
-      else
-        let cum' = cum + h.counts.(i) in
-        if float_of_int cum' >= rank && h.counts.(i) > 0 then begin
-          let lower = if i = 0 then 0.0 else upper.(i - 1) in
-          let frac =
-            (rank -. float_of_int cum) /. float_of_int h.counts.(i)
-          in
-          (* geometric interpolation inside the log-scale bucket *)
-          let lo = Float.max lower (bucket_min /. bucket_ratio) in
-          let v = lo *. ((upper.(i) /. lo) ** frac) in
-          Float.min (Float.min v h.h_max) upper.(i)
-        end
-        else scan (i + 1) cum'
-    in
-    scan 0 0
+    (* first occupied bucket whose cumulative count reaches the rank *)
+    let i = ref 0 and cum = ref 0 in
+    while
+      !i < n_buckets
+      && not
+           (float_of_int (!cum + h.counts.(!i)) >= rank && h.counts.(!i) > 0)
+    do
+      cum := !cum + h.counts.(!i);
+      incr i
+    done;
+    let i = !i in
+    if i >= n_buckets then h.h_max
+    else begin
+      let lower = if i = 0 then 0.0 else upper.(i - 1) in
+      let frac = (rank -. float_of_int !cum) /. float_of_int h.counts.(i) in
+      (* geometric interpolation inside the log-scale bucket *)
+      let lo = Float.max lower (bucket_min /. bucket_ratio) in
+      let v = lo *. ((upper.(i) /. lo) ** frac) in
+      Float.min (Float.min v h.h_max) upper.(i)
+    end
   end
 
 (* ---- registry ------------------------------------------------------------------- *)
@@ -125,7 +129,14 @@ type metric = {
   value : value;
 }
 
-type registry = { tbl : (string * (string * string) list, metric) Hashtbl.t }
+(* [gen] moves whenever the set of cells changes — on every insert and on
+   [reset] — so a reader that bound handles to the cells (the watch's
+   registry scrape) knows when to bind again.  The size would not do:
+   after a [reset] the same number of metrics can come back as new cells. *)
+type registry = {
+  tbl : (string * (string * string) list, metric) Hashtbl.t;
+  mutable gen : int;
+}
 
 (* One lock for every registry: registration can race when pool worker
    domains look metrics up concurrently, and an unsynchronized Hashtbl is
@@ -140,13 +151,18 @@ let locked f =
   Mutex.lock registry_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
 
-let create_registry () = { tbl = Hashtbl.create 64 }
+let create_registry () = { tbl = Hashtbl.create 64; gen = 0 }
 
 (* The process-wide default registry: the Probe API and all subsystem
    counters write here unless told otherwise. *)
 let default = create_registry ()
 
-let reset r = locked (fun () -> Hashtbl.reset r.tbl)
+let reset r =
+  locked (fun () ->
+      Hashtbl.reset r.tbl;
+      r.gen <- r.gen + 1)
+
+let generation r = r.gen
 
 let valid_name n =
   n <> ""
@@ -156,8 +172,17 @@ let valid_name n =
          || (c >= '0' && c <= '9') || c = '_' || c = ':')
        n
 
+(* Sorted by key, duplicate keys dropped.  Label sets are short and mostly
+   already in order (the watch looks series up by them on every tick), so
+   a strictly ordered list is returned as it is: the sort would allocate
+   its closures even for []. *)
 let normalize_labels labels =
-  List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels
+  let rec ordered = function
+    | (a, _) :: ((b, _) :: _ as rest) -> compare a b < 0 && ordered rest
+    | _ -> true
+  in
+  if ordered labels then labels
+  else List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -183,6 +208,7 @@ let get_or_create r name labels help mk cell =
         | None ->
             let m = { mname = name; labels; help; value = mk () } in
             Hashtbl.replace r.tbl (name, labels) m;
+            r.gen <- r.gen + 1;
             m.value)
   in
   match cell value with

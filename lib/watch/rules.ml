@@ -79,6 +79,8 @@ type t = {
   e_rules : rule list;
   e_alerts : (string * alert_state) list;  (* one per alert rule, in order *)
   mutable e_evals : int;
+  e_window : Metrics.histogram;
+      (* every sketch query of every tick merges into this one histogram *)
 }
 
 let engine rules =
@@ -94,7 +96,8 @@ let engine rules =
                     as_firing = false; as_edges = 0; as_since = Float.nan;
                     as_value = 0.0 } ))
         rules;
-    e_evals = 0 }
+    e_evals = 0;
+    e_window = Metrics.make_histogram () }
 
 let alert_states t = List.map snd t.e_alerts
 let firing t = List.filter (fun s -> s.as_firing) (alert_states t)
@@ -102,7 +105,7 @@ let firing t = List.filter (fun s -> s.as_firing) (alert_states t)
 let edges_total t =
   List.fold_left (fun acc s -> acc + s.as_edges) 0 (alert_states t)
 
-let rec eval_expr ctx ~now = function
+let rec eval_expr t ctx ~now = function
   | Const v -> Some v
   | Last (name, labels) -> (
       match Series.Store.find ctx.ctx_store ~name ~labels with
@@ -133,31 +136,36 @@ let rec eval_expr ctx ~now = function
               if dt <= 0.0 then None
               else Some ((last.Series.pt_last -. first.Series.pt_last) /. dt))
   | Quantile_over (name, labels, q, w) -> (
-      match ctx.ctx_sketch name labels with
+      match window t ctx ~now name labels w with
       | None -> None
-      | Some wd ->
-          let h = Sketch.query wd ~now ~window_s:w in
+      | Some h ->
           if Metrics.hist_count h = 0 then None
           else Some (Metrics.quantile h q))
-  | Count_over (name, labels, w) -> (
-      match ctx.ctx_sketch name labels with
-      | None -> None
-      | Some wd ->
-          Some
-            (float_of_int
-               (Metrics.hist_count (Sketch.query wd ~now ~window_s:w))))
-  | Add (a, b) -> lift2 ctx ~now ( +. ) a b
-  | Sub (a, b) -> lift2 ctx ~now ( -. ) a b
-  | Mul (a, b) -> lift2 ctx ~now ( *. ) a b
+  | Count_over (name, labels, w) ->
+      Option.map
+        (fun h -> float_of_int (Metrics.hist_count h))
+        (window t ctx ~now name labels w)
+  | Add (a, b) -> lift2 t ctx ~now ( +. ) a b
+  | Sub (a, b) -> lift2 t ctx ~now ( -. ) a b
+  | Mul (a, b) -> lift2 t ctx ~now ( *. ) a b
   | Div (a, b) -> (
-      match (eval_expr ctx ~now a, eval_expr ctx ~now b) with
+      match (eval_expr t ctx ~now a, eval_expr t ctx ~now b) with
       | Some x, Some y when y <> 0.0 -> Some (x /. y)
       | _ -> None)
 
-and lift2 ctx ~now op a b =
-  match (eval_expr ctx ~now a, eval_expr ctx ~now b) with
+and lift2 t ctx ~now op a b =
+  match (eval_expr t ctx ~now a, eval_expr t ctx ~now b) with
   | Some x, Some y -> Some (op x y)
   | _ -> None
+
+(* The sketch's trailing window, merged into the engine's histogram: valid
+   until the next window query. *)
+and window t ctx ~now name labels w =
+  match ctx.ctx_sketch name labels with
+  | None -> None
+  | Some wd ->
+      Sketch.query_into wd ~into:t.e_window ~now ~window_s:w;
+      Some t.e_window
 
 and window_agg ctx ~now name labels w f =
   match Series.Store.find ctx.ctx_store ~name ~labels with
@@ -176,13 +184,13 @@ let eval t ctx ~now =
     (fun rule ->
       match rule with
       | Record { rc_name; rc_labels; rc_expr } -> (
-          match eval_expr ctx ~now rc_expr with
+          match eval_expr t ctx ~now rc_expr with
           | None -> ()
           | Some v ->
               Series.Store.observe ctx.ctx_store ~now ~name:rc_name
                 ~labels:rc_labels v)
       | Alert { al_name; al_expr; al_cond; al_for_s } -> (
-          match eval_expr ctx ~now al_expr with
+          match eval_expr t ctx ~now al_expr with
           | None -> ()
           | Some v ->
               let st = List.assoc al_name t.e_alerts in

@@ -35,9 +35,10 @@ let observe w ~now v =
   end;
   Metrics.observe w.wd_slots.(slot) v
 
-(* Merge of the slots covering [now - window_s, now]. *)
-let query w ~now ~window_s =
-  let into = Metrics.make_histogram () in
+(* Merge of the slots covering [now - window_s, now], into a histogram the
+   caller owns (reset first), so a per-tick reader allocates nothing. *)
+let query_into w ~into ~now ~window_s =
+  Metrics.hist_reset into;
   let hi = epoch_of w now in
   let lo = epoch_of w (Float.max 0.0 (now -. window_s)) in
   let n = Array.length w.wd_slots in
@@ -48,5 +49,9 @@ let query w ~now ~window_s =
       if w.wd_epoch.(slot) = e then
         Metrics.hist_merge_into ~into w.wd_slots.(slot)
     end
-  done;
+  done
+
+let query w ~now ~window_s =
+  let into = Metrics.make_histogram () in
+  query_into w ~into ~now ~window_s;
   into

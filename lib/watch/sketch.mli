@@ -17,3 +17,12 @@ val observe : t -> now:float -> float -> unit
 val query :
   t -> now:float -> window_s:float -> Everest_telemetry.Metrics.histogram
 
+
+(** {!query} into a histogram the caller owns: [into] is reset, then
+    receives the merge. *)
+val query_into :
+  t ->
+  into:Everest_telemetry.Metrics.histogram ->
+  now:float ->
+  window_s:float ->
+  unit

@@ -109,13 +109,7 @@ let tick w ~now =
   let t0 = Unix.gettimeofday () in
   w.w_ticks <- w.w_ticks + 1;
   w.w_last_tick <- now;
-  List.iter
-    (fun src ->
-      List.iter
-        (fun (name, labels, v) ->
-          Series.Store.observe w.w_store ~now ~name ~labels v)
-        (Scrape.sample src ~now))
-    w.w_sources;
+  List.iter (fun src -> Scrape.scrape src w.w_store ~now) w.w_sources;
   let fired = Rules.eval w.w_rules (ctx w) ~now in
   w.w_work_s <- w.w_work_s +. (Unix.gettimeofday () -. t0);
   (match w.w_on_tick with Some f -> f w ~now | None -> ());

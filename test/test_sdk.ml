@@ -94,6 +94,30 @@ let test_secure_kernel_gets_dift_variants () =
   in
   checkb "hw (dift) variants explored" true (has_dift || explored_dift)
 
+(* The telemetry drill's dump: a workflow run and then [Sdk.serve] publish
+   into the same registry, and the serving phase's private one-node
+   cluster must not overwrite the workflow cluster's gauges. *)
+let test_serve_keeps_workflow_gauges () =
+  let module Metrics = Everest_telemetry.Metrics in
+  let registry = Metrics.default in
+  let app = Sdk.compile (demo ()) in
+  let c = Sdk.Platform.Cluster.everest_demonstrator () in
+  let plan =
+    Sdk.Workflow.Scheduler.heft c app.Everest_compiler.Pipeline.dag
+  in
+  ignore (Sdk.Workflow.Executor.execute ~registry c plan);
+  let executed = Sdk.Platform.Desim.executed c.Sdk.Platform.Cluster.sim in
+  ignore (Sdk.serve ~n:20 app ~kernel:"mm");
+  let lines = String.split_on_char '\n' (Metrics.render_text registry) in
+  let has l = List.mem l lines in
+  checkb "workflow's desim_events_executed" true
+    (has (Printf.sprintf "desim_events_executed %d" executed));
+  checkb "serving phase's snapshot labeled" true
+    (List.exists
+       (fun l ->
+         Astring.String.is_prefix ~affix:"desim_events_executed{phase=\"serving\"}" l)
+       lines)
+
 let () =
   Alcotest.run "everest_sdk"
     [
@@ -103,5 +127,7 @@ let () =
           Alcotest.test_case "energy goal -> hw" `Quick test_serve_energy_goal_prefers_hw;
           Alcotest.test_case "security audit" `Quick test_security_audit_clean;
           Alcotest.test_case "unknown kernel" `Quick test_unknown_kernel_rejected;
-          Alcotest.test_case "dift variants" `Quick test_secure_kernel_gets_dift_variants ] );
+          Alcotest.test_case "dift variants" `Quick test_secure_kernel_gets_dift_variants;
+          Alcotest.test_case "serve keeps workflow gauges" `Quick
+            test_serve_keeps_workflow_gauges ] );
     ]

@@ -77,6 +77,118 @@ let test_store_sorted_iteration () =
   checkb "label order normalized" true
     (Series.Store.find st ~name:"alpha" ~labels:[ ("a", "1") ] <> None)
 
+(* The flat ring against a list model of the ring it replaced: per tier a
+   list of closed points (newest [capacity] kept) plus the open window,
+   every point a boxed record. *)
+module Ring_model = struct
+  type tier = {
+    res : float;
+    mutable closed : Series.point list;  (* oldest first *)
+    mutable open_ : (int * Series.point) option;
+  }
+
+  type t = { cap : int; tiers : tier array }
+
+  let create ~capacity ~tiers ~factor ~res_s =
+    { cap = capacity;
+      tiers =
+        Array.init tiers (fun i ->
+            { res =
+                (if i = 0 then 0.0
+                 else res_s *. (float_of_int factor ** float_of_int i));
+              closed = []; open_ = None }) }
+
+  let push m tr p =
+    let l = tr.closed @ [ p ] in
+    tr.closed <- List.filteri (fun i _ -> i >= List.length l - m.cap) l
+
+  let observe m ~t v =
+    let raw =
+      { Series.pt_t = t; pt_last = v; pt_count = 1; pt_sum = v; pt_min = v;
+        pt_max = v }
+    in
+    Array.iter
+      (fun tr ->
+        if tr.res = 0.0 then push m tr raw
+        else
+          let key = int_of_float (Float.floor (t /. tr.res)) in
+          match tr.open_ with
+          | Some (k, p) when k = key ->
+              tr.open_ <-
+                Some
+                  ( k,
+                    { p with
+                      Series.pt_last = v; pt_count = p.Series.pt_count + 1;
+                      pt_sum = p.Series.pt_sum +. v;
+                      pt_min = Float.min p.Series.pt_min v;
+                      pt_max = Float.max p.Series.pt_max v } )
+          | prev ->
+              Option.iter (fun (_, p) -> push m tr p) prev;
+              tr.open_ <-
+                Some (key, { raw with Series.pt_t = float_of_int key *. tr.res }))
+      m.tiers
+
+  let points m ~tier =
+    let tr = m.tiers.(tier) in
+    tr.closed @ Option.to_list (Option.map snd tr.open_)
+
+  let latest m =
+    match List.rev (points m ~tier:0) with p :: _ -> Some p | [] -> None
+
+  let between m ~t0 ~t1 =
+    let n = Array.length m.tiers in
+    let rec pick i =
+      if i >= n then n - 1
+      else
+        match points m ~tier:i with
+        | p :: _ when p.Series.pt_t <= t0 -> i
+        | _ -> pick (i + 1)
+    in
+    List.filter
+      (fun p -> p.Series.pt_t >= t0 && p.Series.pt_t <= t1)
+      (points m ~tier:(pick 0))
+end
+
+let prop_ring_matches_model =
+  QCheck.Test.make ~count:300 ~name:"flat ring = list model of the old ring"
+    QCheck.(
+      make
+        ~print:(fun (cap, tiers, steps) ->
+          Printf.sprintf "cap=%d tiers=%d steps=%d" cap tiers (List.length steps))
+        QCheck.Gen.(
+          triple (int_range 1 16) (int_range 1 3)
+            (list_size (int_range 0 120)
+               (pair (float_range 0.0 0.05) (float_range (-1e3) 1e3)))))
+    (fun (capacity, tiers, steps) ->
+      let s =
+        Series.create ~capacity ~tiers ~factor:3 ~res_s:0.02 ~name:"x"
+          ~labels:[] ()
+      in
+      let m = Ring_model.create ~capacity ~tiers ~factor:3 ~res_s:0.02 in
+      let t = ref 0.0 and ok = ref true in
+      let agree () =
+        let span = !t +. 0.01 in
+        for tier = 0 to tiers - 1 do
+          if Series.points s ~tier <> Ring_model.points m ~tier then ok := false
+        done;
+        if Series.latest s <> Ring_model.latest m then ok := false;
+        List.iter
+          (fun (a, b) ->
+            let t0 = a *. span and t1 = b *. span in
+            if Series.between s ~t0 ~t1 <> Ring_model.between m ~t0 ~t1 then
+              ok := false)
+          [ (0.0, 1.0); (0.5, 1.0); (0.9, 0.95); (0.99, 1.0); (0.2, 0.1) ]
+      in
+      List.iter
+        (fun (dt, v) ->
+          t := !t +. dt;
+          Series.observe s ~t:!t v;
+          Ring_model.observe m ~t:!t v;
+          agree ())
+        steps;
+      agree ();
+      !ok && Series.samples s = List.length steps)
+
 (* ---- sketch ---------------------------------------------------------------------- *)
 
 let prop_merge_equals_union =
@@ -380,6 +492,270 @@ let test_dashboard_deterministic () =
   checkb "json roundtrips" true
     (Everest_telemetry.Json.member "series" parsed <> None)
 
+(* ---- bound registry scrape vs the reference scrape ------------------------------- *)
+
+(* The scrape path the bound registry source replaced, kept as its oracle:
+   the whole registry as a fresh list of (name, labels, value) triples on
+   every tick, each written into the store by name. *)
+let reference_samples ?(prefix = "") ?(quantiles = [ 0.5; 0.9; 0.99 ]) r =
+  List.concat_map
+    (fun (m : Metrics.metric) ->
+      let n = prefix ^ m.Metrics.mname in
+      let labels = m.Metrics.labels in
+      match m.Metrics.value with
+      | Metrics.Counter c | Metrics.Gauge c -> [ (n, labels, !c) ]
+      | Metrics.Histogram h ->
+          (n ^ ":count", labels, float_of_int (Metrics.hist_count h))
+          :: (n ^ ":sum", labels, Metrics.hist_sum h)
+          :: List.map
+               (fun q ->
+                 (Printf.sprintf "%s:p%g" n (100.0 *. q), labels, Metrics.quantile h q))
+               quantiles)
+    (Metrics.metrics r)
+
+let reference_source ?prefix ?quantiles r =
+  Scrape.of_fn ~name:"registry" (fun ~now:_ ->
+      reference_samples ?prefix ?quantiles r)
+
+(* Every tier (a watch keeps three) of every series, [latest] and a few
+   [between] windows. *)
+let same_stores a b ~now =
+  let view st =
+    List.map
+      (fun s ->
+        ( (Series.name s, Series.labels s, Series.samples s),
+          List.init 3 (fun tier -> Series.points s ~tier),
+          Series.latest s,
+          List.map
+            (fun w -> Series.between s ~t0:(now -. w) ~t1:now)
+            [ 0.0; 0.05; 0.5; 5.0; 50.0 ] ))
+      (Series.Store.to_list st)
+  in
+  view a = view b
+
+type op =
+  | Register of int * int  (* metric slot (its kind is slot mod 3), label set *)
+  | Update of int * float  (* a registered metric, by position *)
+  | Tick
+  | Reset_same  (* reset, then register the same metrics as new cells *)
+  | Reattach  (* add the source again under the same name *)
+
+let pp_op = function
+  | Register (k, l) -> Printf.sprintf "reg(%d,%d)" k l
+  | Update (i, v) -> Printf.sprintf "upd(%d,%g)" i v
+  | Tick -> "tick"
+  | Reset_same -> "reset"
+  | Reattach -> "reattach"
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map2 (fun k l -> Register (k, l)) (int_range 0 8) (int_range 0 2));
+        (6, map2 (fun i v -> Update (i, v)) (int_range 0 30) (float_range 0.0 50.0));
+        (5, return Tick);
+        (1, return Reset_same);
+        (1, return Reattach) ])
+
+let label_sets = [| []; [ ("t", "a") ]; [ ("t", "b"); ("k", "x") ] |]
+
+let prop_bound_scrape_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"bound registry scrape = reference scrape"
+    QCheck.(
+      make
+        ~print:(fun (prefix, ops) ->
+          Printf.sprintf "prefix=%S %s" prefix
+            (String.concat " " (List.map pp_op ops)))
+        QCheck.Gen.(
+          pair (oneofl [ ""; "p_" ]) (list_size (int_range 1 80) op_gen)))
+    (fun (prefix, ops) ->
+      let r = Metrics.create_registry () in
+      let registered = ref [] in
+      let register (k, l) =
+        let name = Printf.sprintf "%c%d" "cgh".[k mod 3] k
+        and labels = label_sets.(l) in
+        (match k mod 3 with
+        | 0 -> ignore (Metrics.counter ~registry:r ~labels name)
+        | 1 -> ignore (Metrics.gauge ~registry:r ~labels name)
+        | _ -> ignore (Metrics.histogram ~registry:r ~labels name));
+        if not (List.mem (k, l) !registered) then
+          registered := !registered @ [ (k, l) ]
+      in
+      let update i v =
+        match !registered with
+        | [] -> ()
+        | regs -> (
+            let k, l = List.nth regs (i mod List.length regs) in
+            let name = Printf.sprintf "%c%d" "cgh".[k mod 3] k
+            and labels = label_sets.(l) in
+            match k mod 3 with
+            | 0 -> Metrics.inc ~by:v (Metrics.counter ~registry:r ~labels name)
+            | 1 -> Metrics.set (Metrics.gauge ~registry:r ~labels name) v
+            | _ -> Metrics.observe (Metrics.histogram ~registry:r ~labels name) v)
+      in
+      let bound = Watch.create () and oracle = Watch.create () in
+      (* a by-name source writing one of the registry's series too: the
+         two sources' writes must interleave the same way *)
+      let fn w =
+        Watch.add_source w
+          (Scrape.of_fn ~name:"fn" (fun ~now -> [ ("g1", [], now) ]))
+      in
+      Watch.add_source bound (Scrape.of_registry ~prefix r);
+      Watch.add_source oracle (reference_source ~prefix r);
+      fn bound;
+      fn oracle;
+      let now = ref 0.0 in
+      List.iter
+        (function
+          | Register (k, l) -> register (k, l)
+          | Update (i, v) -> update i v
+          | Tick ->
+              now := !now +. 0.01;
+              ignore (Watch.tick bound ~now:!now);
+              ignore (Watch.tick oracle ~now:!now)
+          | Reset_same ->
+              Metrics.reset r;
+              List.iter register !registered
+          | Reattach ->
+              Watch.add_source bound (Scrape.of_registry ~prefix r);
+              Watch.add_source oracle (reference_source ~prefix r))
+        ops;
+      now := !now +. 0.01;
+      ignore (Watch.tick bound ~now:!now);
+      ignore (Watch.tick oracle ~now:!now);
+      same_stores (Watch.store bound) (Watch.store oracle) ~now:!now)
+
+(* One source scraped into two stores rebinds per store. *)
+let test_scrape_two_stores () =
+  let r = Metrics.create_registry () in
+  let g = Metrics.gauge ~registry:r "g" in
+  let h = Metrics.histogram ~registry:r ~labels:[ ("t", "a") ] "h" in
+  let src = Scrape.of_registry r in
+  let a = Watch.create () and b = Watch.create () and o = Watch.create () in
+  Watch.add_source a src;
+  Watch.add_source b src;
+  Watch.add_source o (reference_source r);
+  for i = 1 to 30 do
+    Metrics.set g (float_of_int i);
+    Metrics.observe h (0.001 *. float_of_int i);
+    let now = 0.01 *. float_of_int i in
+    List.iter (fun w -> ignore (Watch.tick w ~now)) [ a; b; o ]
+  done;
+  checkb "first store" true (same_stores (Watch.store a) (Watch.store o) ~now:0.3);
+  checkb "second store" true (same_stores (Watch.store b) (Watch.store o) ~now:0.3)
+
+(* Every quantile estimate against the recursive scan it replaced. *)
+let reference_quantile h q =
+  let counts = h.Metrics.counts in
+  let n = Metrics.hist_count h in
+  if n = 0 then 0.0
+  else begin
+    let q = Float.max 0.0 (Float.min 1.0 q) in
+    let rank = q *. float_of_int n in
+    let upper = Metrics.bucket_upper in
+    let rec scan i cum =
+      if i >= Metrics.n_buckets then Metrics.hist_max h
+      else
+        let cum' = cum + counts.(i) in
+        if float_of_int cum' >= rank && counts.(i) > 0 then begin
+          let lower = if i = 0 then 0.0 else upper.(i - 1) in
+          let frac = (rank -. float_of_int cum) /. float_of_int counts.(i) in
+          let lo = Float.max lower (Metrics.bucket_min /. Metrics.bucket_ratio) in
+          let v = lo *. ((upper.(i) /. lo) ** frac) in
+          Float.min (Float.min v (Metrics.hist_max h)) upper.(i)
+        end
+        else scan (i + 1) cum'
+    in
+    scan 0 0
+  end
+
+let prop_quantile_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"quantile = recursive reference scan"
+    QCheck.(
+      pair
+        (list_of_size QCheck.Gen.(int_range 0 60) (float_range 0.0 1e4))
+        (float_range (-0.5) 1.5))
+    (fun (xs, q) ->
+      let h = Metrics.make_histogram () in
+      List.iter (Metrics.observe h) xs;
+      List.for_all
+        (fun q -> Metrics.quantile h q = reference_quantile h q)
+        [ q; 0.0; 0.5; 0.9; 0.99; 1.0 ])
+
+(* ---- tick allocation gate ------------------------------------------------------- *)
+
+(* A steady registry shaped like the fabric's: per tenant two counters,
+   two gauges and a latency histogram (9 series), the E20 rules over a
+   tenant's latency sketch, and a by-name source.  Returns the words one
+   tick allocates, averaged over ticks 400..600 (after the tier-0 rings
+   are full), and the store's size.  Allocation is deterministic on one
+   domain, so neither figure can flake on a noisy host. *)
+let tick_words ~tenants =
+  let r = Metrics.create_registry () in
+  let p99 = Rules.Quantile_over ("latency", [ ("tenant", "t0") ], 0.99, 0.2) in
+  let w =
+    Watch.create
+      ~rules:
+        [ Rules.record "latency:p99" p99;
+          Rules.alert "latency-step" p99
+            (Rules.Detector (Detect.cusum ~drift:0.5 ~threshold:5.0 ()));
+          Rules.alert "depth" (Rules.Last ("q:depth", [])) (Rules.Above 1e9) ]
+      ()
+  in
+  Watch.add_source w (Scrape.of_registry r);
+  Watch.add_source w (Scrape.of_fn ~name:"q" (fun ~now:_ -> [ ("q:depth", [], 1.0) ]));
+  let per_tenant =
+    List.init tenants (fun i ->
+        let labels = [ ("tenant", Printf.sprintf "t%d" i) ] in
+        ( Metrics.counter ~registry:r ~labels "requests_total",
+          Metrics.counter ~registry:r ~labels "served_total",
+          Metrics.gauge ~registry:r ~labels "workers",
+          Metrics.gauge ~registry:r ~labels "depth",
+          Metrics.histogram ~registry:r ~labels "latency_s",
+          Watch.sketch w ~name:"latency" ~labels ))
+  in
+  let words = ref 0.0 in
+  for k = 1 to 600 do
+    let now = 0.01 *. float_of_int k in
+    List.iter
+      (fun (c1, c2, g1, g2, h, sk) ->
+        let v = 0.001 *. float_of_int (1 + (k mod 7)) in
+        Metrics.inc c1;
+        Metrics.inc c2;
+        Metrics.set g1 (float_of_int (k mod 5));
+        Metrics.set g2 v;
+        Metrics.observe h v;
+        Watch.observe w ~now sk v)
+      per_tenant;
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Watch.tick w ~now));
+    if k > 400 then words := !words +. (Gc.minor_words () -. before)
+  done;
+  (!words /. 200.0, Series.Store.size (Watch.store w))
+
+let test_tick_alloc_per_series () =
+  let words, series = tick_words ~tenants:16 in
+  let per = words /. float_of_int series in
+  if per > 10.0 then
+    Alcotest.failf "one tick allocates %.1f words per series (%.0f words, %d \
+                    series) > 10"
+      per words series
+
+let test_tick_alloc_scaling () =
+  let pts =
+    List.map
+      (fun t -> (log (float_of_int t), log (fst (tick_words ~tenants:t))))
+      [ 4; 8; 16 ]
+  in
+  let mean f = List.fold_left (fun a p -> a +. f p) 0.0 pts /. 3.0 in
+  let mx = mean fst and my = mean snd in
+  let slope =
+    mean (fun (x, y) -> (x -. mx) *. (y -. my)) /. mean (fun (x, _) -> (x -. mx) ** 2.0)
+  in
+  if slope > 1.15 then
+    Alcotest.failf "tick allocation grows with slope %.2f > 1.15 (words: %s)"
+      slope
+      (String.concat " / " (List.map (fun (_, y) -> Printf.sprintf "%.0f" (exp y)) pts))
+
 let () =
   Alcotest.run "everest_watch"
     [
@@ -390,7 +766,8 @@ let () =
           Alcotest.test_case "between picks tier" `Quick
             test_series_between_picks_tier;
           Alcotest.test_case "store sorted iteration" `Quick
-            test_store_sorted_iteration ] );
+            test_store_sorted_iteration;
+          QCheck_alcotest.to_alcotest prop_ring_matches_model ] );
       ( "sketch",
         [ QCheck_alcotest.to_alcotest prop_merge_equals_union;
           Alcotest.test_case "windowed rotation" `Quick test_windowed_rotation ]
@@ -423,4 +800,14 @@ let () =
           Alcotest.test_case "source replace" `Quick test_watch_source_replace;
           Alcotest.test_case "dashboard deterministic" `Quick
             test_dashboard_deterministic ] );
+      ( "scrape",
+        [ QCheck_alcotest.to_alcotest prop_bound_scrape_matches_reference;
+          Alcotest.test_case "one source, two stores" `Quick
+            test_scrape_two_stores;
+          QCheck_alcotest.to_alcotest prop_quantile_matches_reference ] );
+      ( "gate",
+        [ Alcotest.test_case "tick words per series" `Quick
+            test_tick_alloc_per_series;
+          Alcotest.test_case "tick words scaling" `Quick
+            test_tick_alloc_scaling ] );
     ]
